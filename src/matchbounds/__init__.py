@@ -13,6 +13,7 @@ from .bounds import (
     valid_constant,
     counterexample,
     evaluate_bound,
+    evaluate_bounds,
     order_bounds_check,
     sharp_bounds,
 )

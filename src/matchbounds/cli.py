@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ from .bounds import (
     bound_by_name,
     valid_constant,
     counterexample,
-    evaluate_bound,
+    evaluate_bounds,
     report_dict,
     sharp_bounds,
 )
@@ -40,6 +41,7 @@ from .graphs import (
     NotSubcubicError,
     degree_profile,
     emit_graph6,
+    iter_graph6_lines,
     parse_graph6,
 )
 from .matching import nu
@@ -55,7 +57,7 @@ from .polytope import (
     shift_transform,
     vertices,
 )
-from .structure import gallai_edmonds, verify_ge_properties
+from .structure import _ge_properties, gallai_edmonds
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -94,6 +96,14 @@ def _triple_type(parts: list[str]) -> CoefficientTriple:
     return CoefficientTriple(x3, x2, x1)
 
 
+def _jobs_type(text: str) -> int:
+    jobs = int(text)
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {jobs}")
+    return jobs
+
+
 def _corpus(args) -> tuple[str, Iterator[Graph]]:
     """Resolve the graph source flags into (description, graph stream)."""
     if args.enumerate is not None:
@@ -102,11 +112,7 @@ def _corpus(args) -> tuple[str, Iterator[Graph]]:
     if args.file is not None:
         def stream() -> Iterator[Graph]:
             with open(args.file, "rb") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line == b">>graph6<<":
-                        continue
-                    yield parse_graph6(line)
+                yield from iter_graph6_lines(fh)
         return args.file, stream()
     if args.random is not None:
         def rand_stream() -> Iterator[Graph]:
@@ -143,13 +149,14 @@ def _selected_bounds(args) -> list[BoundSpec]:
     return specs
 
 
-def _verify_one(g6: bytes, specs: list[BoundSpec]) -> list[dict]:
-    g = parse_graph6(g6)
-    out = []
-    for spec in specs:
-        rep = evaluate_bound(g, spec)
-        out.append(report_dict(g6.decode("ascii"), spec.name, rep))
-    return out
+def _verify_one(g: Graph, g6: str, specs: list[BoundSpec]) -> list[dict] | str:
+    """The reports of ``g`` (graph6 ``g6``) for each spec, or the line to
+    print when ``g`` is not subcubic."""
+    try:
+        reports = evaluate_bounds(g, specs)
+    except NotSubcubicError as exc:
+        return f"skipped {g6}: {exc}"
+    return [report_dict(g6, spec.name, rep) for spec, rep in zip(specs, reports)]
 
 
 _POOL_SPECS: list[BoundSpec] = []
@@ -160,8 +167,8 @@ def _pool_init(specs: list[BoundSpec]) -> None:
     _POOL_SPECS = specs
 
 
-def _pool_worker(g6: bytes) -> list[dict]:
-    return _verify_one(g6, _POOL_SPECS)
+def _pool_worker(g6: bytes) -> list[dict] | str:
+    return _verify_one(parse_graph6(g6), g6.decode("ascii"), _POOL_SPECS)
 
 
 def _report_line(rep: dict) -> str:
@@ -191,23 +198,15 @@ def cmd_verify(args) -> int:
         corpus_name, stream = _corpus(args)
         manifest.corpus = corpus_name
 
-        def encoded() -> Iterator[bytes]:
-            nonlocal invalid
-            for g in stream:
-                line = emit_graph6(g)
-                try:
-                    degree_profile(g)
-                except NotSubcubicError as exc:
+        def consume(results: Iterable[list[dict] | str]) -> None:
+            nonlocal graphs_checked, violations, tight, invalid
+            for result in results:
+                if isinstance(result, str):
                     invalid += 1
-                    print(f"skipped {line.decode('ascii')}: {exc}", file=sys.stderr)
+                    print(result, file=sys.stderr)
                     continue
-                yield line
-
-        def consume(batches: Iterable[list[dict]]) -> None:
-            nonlocal graphs_checked, violations, tight
-            for batch in batches:
                 graphs_checked += 1
-                for rep in batch:
+                for rep in result:
                     if Fraction(rep["slack"]) < 0:
                         violations += 1
                     if rep["tight"]:
@@ -218,9 +217,10 @@ def cmd_verify(args) -> int:
 
         if args.jobs > 1:
             with Pool(args.jobs, initializer=_pool_init, initargs=(specs,)) as pool:
-                consume(pool.imap(_pool_worker, encoded(), chunksize=64))
+                consume(pool.imap(_pool_worker, (emit_graph6(g) for g in stream),
+                                  chunksize=64))
         else:
-            consume(_verify_one(line, specs) for line in encoded())
+            consume(_verify_one(g, emit_graph6(g).decode("ascii"), specs) for g in stream)
         manifest.partial = False
     except BaseException:
         manifest.partial = True
@@ -344,7 +344,7 @@ def cmd_ge(args) -> int:
         manifest.corpus = corpus_name
         for g in stream:
             d = gallai_edmonds(g)
-            rep = verify_ge_properties(g, d)
+            rep = _ge_properties(g, d)
             checked += 1
             if not rep.all_true():
                 failures += 1
@@ -420,16 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="only print reports with slack exactly 0")
     ver.add_argument("--skip-invalid", action="store_true",
                      help="do not fail on non-subcubic input lines")
-    ver.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    ver.add_argument("--jobs", type=_jobs_type, default=1,
+                     help="parallel workers, 1 to the CPU count (default 1)")
 
     fam = subs.add_parser("family", parents=[common],
                           help="generate an extremal family member")
     fam.add_argument("family", choices=FAMILY_IDS)
     fam.add_argument("t", type=int)
-    mode = fam.add_mutually_exclusive_group()
-    mode.add_argument("--stats", action="store_true",
-                      help="closed-form profile and matching number")
-    mode.add_argument("--emit", choices=["graph6"], help="serialization format")
+    fam.add_argument("--stats", action="store_true",
+                     help="closed-form profile and matching number")
 
     ctr = subs.add_parser("counterexample", parents=[common],
                           help="certified violation for a triple outside the polyhedron")
@@ -480,3 +479,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

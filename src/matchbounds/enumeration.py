@@ -27,8 +27,6 @@ class LimitExceededError(ValueError):
 @dataclass(frozen=True)
 class EnumerationConfig:
     max_n: int
-    connected_only: bool = True
-    canonical_dedup: bool = True
 
     def __post_init__(self):
         if self.max_n < 1:
@@ -146,7 +144,7 @@ def _augmentations(parent: Graph) -> Iterator[Graph]:
                 )
 
 
-def _connected_levels(max_n: int, dedup: bool) -> Iterator[list[Graph]]:
+def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     """Connected subcubic graphs grouped by vertex count, canonical labels.
 
     Every connected graph has a vertex whose removal keeps it connected,
@@ -156,63 +154,25 @@ def _connected_levels(max_n: int, dedup: bool) -> Iterator[list[Graph]]:
     level = [Graph(1)]
     yield level
     for _ in range(2, max_n + 1):
-        if dedup:
-            found: dict = {}
-            for parent in level:
-                for child in _augmentations(parent):
-                    key = canonical_key(child)
-                    if key not in found:
-                        found[key] = canonical_form(child)
-            level = [found[key] for key in sorted(found)]
-        else:
-            level = [
-                child for parent in level for child in _augmentations(parent)
-            ]
+        found: dict = {}
+        for parent in level:
+            for child in _augmentations(parent):
+                key = canonical_key(child)
+                if key not in found:
+                    found[key] = canonical_form(child)
+        level = [found[key] for key in sorted(found)]
         yield level
 
 
-def _disjoint_unions(parts: list[Graph]) -> Graph:
-    total = sum(g.n for g in parts)
-    edges = []
-    offset = 0
-    for g in parts:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph(total, edges)
-
-
 def enumerate_subcubic(cfg: EnumerationConfig) -> Iterator[Graph]:
-    """Every subcubic graph on <= max_n vertices, exactly once up to
-    isomorphism, smallest order first.
+    """Every connected subcubic graph on <= max_n vertices, exactly once up
+    to isomorphism, smallest order first.
 
-    With ``connected_only`` unset, disconnected graphs (multisets of
-    connected components, no isolated-vertex padding beyond n0 counts)
-    are included.  With ``canonical_dedup`` unset the raw augmentation
-    stream is emitted, which may repeat isomorphic graphs; that mode is
-    only sensible for cross-checks at small max_n.
+    Disconnected graphs are left out: the per-component bounds add up over
+    components, so the connected classes decide them.
     """
-    levels = list(_connected_levels(cfg.max_n, cfg.canonical_dedup))
-    if cfg.connected_only:
-        for level in levels:
-            yield from level
-        return
-    # Disconnected combinations: components in canonical key order avoid
-    # revisiting the same multiset twice.
-    by_n: dict[int, list[Graph]] = {}
-    for n in range(1, cfg.max_n + 1):
-        combos: dict = {}
-        for g in levels[n - 1]:
-            combos[canonical_key(g)] = g
-        for k in range(1, n):
-            for head in levels[k - 1]:
-                for rest in by_n.get(n - k, []):
-                    g = _disjoint_unions([head, rest])
-                    key = canonical_key(g)
-                    if key not in combos:
-                        combos[key] = canonical_form(g)
-        by_n[n] = [combos[key] for key in sorted(combos)]
-    for n in range(1, cfg.max_n + 1):
-        yield from by_n[n]
+    for level in _connected_levels(cfg.max_n):
+        yield from level
 
 
 def random_subcubic(n: int, seed: int) -> Graph:

@@ -64,9 +64,6 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         return key in self.edges
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent)."""
         masks = [0] * self.n

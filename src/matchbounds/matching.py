@@ -130,7 +130,8 @@ def max_matching(g: Graph) -> Matching:
         (u, mate[u]) for u in range(g.n) if mate[u] > u
     )
     m = Matching(edges)
-    assert all(e in g.edges for e in m.edges), "matching uses non-edges"
+    if not m.edges <= g.edges:
+        raise RuntimeError("matching uses non-edges")
     return m
 
 

@@ -38,10 +38,6 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 @dataclass(frozen=True)
 class CoefficientTriple:
     """Candidate bound coefficients (x3, x2, x1), one per vertex degree."""

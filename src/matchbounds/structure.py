@@ -124,6 +124,12 @@ def verify_ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
             f"expected A={sorted(expected.A)}, B={sorted(expected.B)}, "
             f"C={sorted(expected.C)}"
         )
+    return _ge_properties(g, d)
+
+
+def _ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
+    """The three structural guarantees, for a ``d`` already known to be
+    the decomposition of ``g``."""
     a_comps = _a_component_sets(g, d.A)
     hypo = all(
         is_hypomatchable(g.induced(comp)[0]) for comp in a_comps

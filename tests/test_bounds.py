@@ -19,6 +19,7 @@ from matchbounds.bounds import (
     counterexample,
     counterexample_slacks,
     evaluate_bound,
+    evaluate_bounds,
     report_dict,
     order_bounds_check,
     sharp_bounds,
@@ -31,7 +32,7 @@ from matchbounds.families import (
     generate,
 )
 from matchbounds.graphs import Graph, NotSubcubicError, emit_graph6
-from matchbounds.matching import brute_force_nu
+from matchbounds.matching import brute_force_nu, nu
 from matchbounds.polytope import (
     CoefficientTriple,
     NotInPError,
@@ -85,6 +86,18 @@ def test_evaluate_rejects_high_degree():
     k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     with pytest.raises(NotSubcubicError):
         evaluate_bound(k5, bound_by_name("b1"))
+
+
+def test_evaluate_bounds_computes_nu_once(monkeypatch):
+    import matchbounds.bounds as bounds
+
+    specs = sharp_bounds()
+    g = generate(FamilySpec("G1", 1))
+    expected = [evaluate_bound(g, spec) for spec in specs]
+    calls = []
+    monkeypatch.setattr(bounds, "nu", lambda h: calls.append(h) or nu(h))
+    assert evaluate_bounds(g, specs) == expected
+    assert len(calls) == 1
 
 
 def test_per_component_constant():
@@ -154,6 +167,23 @@ def test_counterexample_scales_with_large_constant():
     assert rep.slack < 0
     slacks = counterexample_slacks("G2", 5, 2, triple("1/2", 0, 0), F(100))
     assert slacks[0][1] >= 0  # one admissible step earlier is not yet violated
+
+
+def test_counterexample_nu_certificate_raises(monkeypatch):
+    import matchbounds.bounds as bounds
+
+    monkeypatch.setattr(bounds, "nu", lambda g: nu(g) + 1)
+    with pytest.raises(RuntimeError, match="disagrees with matcher"):
+        counterexample(triple("1/3", "4/9", "1/3"), F(0))
+
+
+def test_counterexample_slack_certificate_raises(monkeypatch):
+    import matchbounds.bounds as bounds
+
+    # G2(t=1) is not yet violated under K = 100 (t = 7 is the first).
+    monkeypatch.setattr(bounds, "_smallest_violating_t", lambda fid, tr, k: 1)
+    with pytest.raises(RuntimeError, match="not negative"):
+        counterexample(triple("1/2", 0, 0), F(100))
 
 
 def test_smallest_violating_t_cap():

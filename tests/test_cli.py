@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchbounds.bounds
+import matchbounds.cli
+import matchbounds.structure
 from matchbounds.cli import main
 from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import Graph, emit_graph6
@@ -113,11 +120,72 @@ def test_verify_random_corpus(capsys):
     assert manifest["counts"]["graphs"] == 25
 
 
-def test_verify_jobs_deterministic(capsys):
+def test_verify_jobs_deterministic(capsys, tmp_path):
     code1, out1, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all")
     code2, out2, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all",
                          "--jobs", "2")
     assert (code1, out1) == (code2, out2)
+    k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    g6 = [emit_graph6(generate(FamilySpec("G3", t))) for t in range(2, 7)]
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join([b">>graph6<<", *g6[:2], b"", emit_graph6(k5), *g6[2:]]) + b"\n")
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--file", str(path), "--bounds", "all",
+                             "--skip-invalid", "--jobs", jobs)
+        runs.append((code, out, json.loads(err.strip().splitlines()[-1])["counts"]))
+    assert runs[0] == runs[1]
+    assert runs[0][2]["graphs"] == 5 and runs[0][2]["invalid"] == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_verify_rejects_jobs_out_of_range(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(matchbounds.cli, "Pool", no_pool)
+    code, out, err = run(capsys, "verify", "--enumerate", "3", "--jobs", jobs)
+    assert code == 2
+    assert out == "" and "--jobs" in err
+
+
+def _count_calls(monkeypatch, fn, *modules):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_verify_computes_nu_once_per_graph(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, matchbounds.bounds.nu, matchbounds.bounds)
+    code, _, err = run(capsys, "verify", "--enumerate", "5", "--bounds", "all")
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["counts"]["graphs"] == 20
+    assert len(calls) == 20
+
+
+def test_ge_decomposes_once_per_graph(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, matchbounds.structure.gallai_edmonds,
+                         matchbounds.cli, matchbounds.structure)
+    code, out, _ = run(capsys, "ge", "--random", "10", "--size", "9", "--seed", "5")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 10
+    assert len(calls) == 10
+
+
+def test_cli_module_runs_as_script():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "matchbounds.cli", "polytope", "vertices"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert len(proc.stdout.strip().splitlines()) == 13
 
 
 def test_verify_enumerate_cap(capsys):

@@ -151,26 +151,6 @@ def test_stream_order_is_deterministic():
     assert first == second
 
 
-def test_disconnected_mode_adds_unions():
-    cfg = EnumerationConfig(max_n=6, connected_only=False)
-    graphs = list(enumerate_subcubic(cfg))
-    keys = {canonical_key(g) for g in graphs}
-    assert len(keys) == len(graphs)
-    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert canonical_key(two_triangles) in keys
-    # Connected classes on <= 6 vertices: 1+1+2+6+10+29; unions add more.
-    assert len([g for g in graphs if is_connected(g)]) == 49
-    assert len(graphs) > 49
-
-
-def test_raw_mode_may_repeat():
-    cfg = EnumerationConfig(max_n=4, canonical_dedup=False)
-    graphs = list(enumerate_subcubic(cfg))
-    keys = [canonical_key(g) for g in graphs]
-    assert len(set(keys)) == 1 + 1 + 2 + 6
-    assert len(keys) > len(set(keys))
-
-
 def test_hard_cap():
     with pytest.raises(LimitExceededError):
         EnumerationConfig(max_n=13)
