@@ -92,8 +92,15 @@ def evaluate_bounds(g: Graph, specs: Iterable[BoundSpec]) -> list[BoundReport]:
 
     The degree profile and the matching number are computed once for all
     of them.  Negative slack is a violation; the report states it and
-    never asserts."""
+    never asserts.  A flat constant K (``per_component=False``) is only
+    claimed for connected graphs, so such a spec on a graph with several
+    components raises ``NotConnectedError``."""
+    specs = list(specs)
     prof = degree_profile(g)
+    if prof.c > 1 and not all(spec.per_component for spec in specs):
+        raise NotConnectedError(
+            f"a flat constant K requires a connected graph, got {prof.c} components"
+        )
     lhs = nu(g)
     reports = []
     for spec in specs:

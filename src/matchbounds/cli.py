@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .bounds import (
     BoundSpec,
+    NotConnectedError,
     TripleInPError,
     bound_by_name,
     valid_constant,
@@ -151,10 +152,10 @@ def _selected_bounds(args) -> list[BoundSpec]:
 
 def _verify_one(g: Graph, g6: str, specs: list[BoundSpec]) -> list[dict] | str:
     """The reports of ``g`` (graph6 ``g6``) for each spec, or the line to
-    print when ``g`` is not subcubic."""
+    print when ``g`` is not subcubic, or is disconnected under a flat K."""
     try:
         reports = evaluate_bounds(g, specs)
-    except NotSubcubicError as exc:
+    except (NotSubcubicError, NotConnectedError) as exc:
         return f"skipped {g6}: {exc}"
     return [report_dict(g6, spec.name, rep) for spec, rep in zip(specs, reports)]
 

@@ -1,18 +1,47 @@
 """Exhaustive generation of subcubic graphs up to isomorphism, and a
 seeded random subcubic graph sampler for stress tests.
 
-Isomorph rejection uses an exact canonical code: the lexicographically
-greatest adjacency bitstring over all vertex orderings that respect an
-invariant-based stratification (degree, then sorted neighbor degrees).
-The stratification is isomorphism-invariant, so equal codes mean equal
-graphs up to isomorphism, and the dense-first ordering keeps the search
-frontier tiny on sparse graphs.
+Canonical labels.  The canonical code of a graph is the lexicographically
+greatest adjacency bitstring over all vertex orderings that list the
+vertices class by class, densest class first, where a vertex's class is
+its (degree, sorted neighbor degrees).  The classes are
+isomorphism-invariant, so equal codes mean isomorphic graphs, and the
+dense-first ordering keeps the search frontier tiny on sparse graphs.
+
+Generation by canonical construction path (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Each class on n
+vertices is made from the classes on n - 1 vertices by joining a new
+vertex x to 1..3 vertices of degree < 3.  A vertex is removable when
+deleting it leaves the graph connected; every connected graph has one.
+Among the removable vertices, those with the latest class, then the
+least sum of neighbor invariants, form an isomorphism-invariant set, and
+the one of them that comes last in the canonical order names the
+canonical orbit.  A child is kept only if x lies in that orbit.
+
+* Every class is made: delete a vertex m of its canonical orbit; the
+  rest is connected, so it is some parent, and joining x to the image of
+  m's neighbors there gives the class back with x in the canonical orbit.
+* Only one parent makes it: two kept children that are isomorphic are
+  isomorphic by a map taking x to x, so their parents are isomorphic too.
+  Parents are pairwise non-isomorphic, so they are the same parent, and
+  the two children differ by one of its automorphisms.  A key dictionary
+  per parent removes those; no dictionary spans a level.
+
+Most children fail on the cheap tests (a removable vertex in a later
+class, or with a smaller neighbor sum) before any search.  Survivors get
+one search, which yields both the key and the relabelling; only when
+other removable vertices tie with x is orbit membership tested, by
+individualising x and the last tied vertex and comparing their codes.
+Graphs are handled as adjacency-mask tuples; a ``Graph`` is built once
+per kept class, when its level is yielded.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterator
 
 from .graphs import Graph, is_connected
@@ -38,130 +67,242 @@ class EnumerationConfig:
             )
 
 
-def _vertex_classes(n: int, masks: list[int]) -> tuple[list[int], list]:
-    """Stratify vertices by (degree, sorted neighbor degrees), densest
-    class first.  Returns (class index per vertex, sorted class keys)."""
-    degs = [bin(m).count("1") for m in masks]
-    inv = []
-    for v in range(n):
-        nbr = []
-        m = masks[v]
-        while m:
-            low = m & -m
-            nbr.append(degs[low.bit_length() - 1])
-            m ^= low
-        inv.append((degs[v], tuple(sorted(nbr, reverse=True))))
-    keys = sorted(set(inv), reverse=True)
-    index = {key: i for i, key in enumerate(keys)}
-    return [index[iv] for iv in inv], keys
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _canonical_order(n: int, masks: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One vertex ordering achieving the canonical code, plus the code.
+def _invariants(masks) -> tuple[list[int], int]:
+    """Per vertex, (degree, neighbor degrees sorted descending) packed into
+    one int that orders like the tuple; plus the maximum degree D.
 
-    Level-wise search: at each position keep every partial ordering that
-    attains the maximal next adjacency chunk; prefix-equivalent states are
-    merged.  Exact, not heuristic.
+    With field width w > D (``_width``), bits w*(d-1).. count the neighbors
+    of degree d and bits w*D.. hold the degree.  Tuples of equal degree
+    have equal length, and sorted sequences of equal length compare like
+    their counts taken from the largest entry down.
     """
-    if n == 0:
-        return (), ()
-    cls, _ = _vertex_classes(n, masks)
-    order_of_class = sorted(range(n), key=lambda v: cls[v])
-    class_seq = [cls[v] for v in order_of_class]
+    degs = [m.bit_count() for m in masks]
+    top = max(degs, default=0)
+    w = _width(top)
+    of_degree = [0] * (top + 1)
+    for v, d in enumerate(degs):
+        of_degree[d] |= 1 << v
+    inv = []
+    for v, m in enumerate(masks):
+        s = degs[v]
+        for d in range(top, 0, -1):
+            s = (s << w) | (m & of_degree[d]).bit_count()
+        inv.append(s)
+    return inv, top
 
-    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+
+def _width(top: int) -> int:
+    return max(1, top.bit_length())
+
+
+def _unpack(key: int, top: int) -> tuple[int, tuple[int, ...]]:
+    """The (degree, sorted neighbor degrees) tuple packed in ``key``."""
+    w = _width(top)
+    nbrs: list[int] = []
+    for d in range(top, 0, -1):
+        nbrs += [d] * ((key >> (w * (d - 1))) & ((1 << w) - 1))
+    return key >> (w * top), tuple(nbrs)
+
+
+def _vertex_classes(inv: list[int]) -> list[int]:
+    """Class index per vertex: rank of its invariant, densest class first."""
+    index = {key: i for i, key in enumerate(sorted(set(inv), reverse=True))}
+    return [index[key] for key in inv]
+
+
+def _canonical_order(
+    n: int, masks, cls: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One vertex ordering achieving the canonical code under the vertex
+    classes ``cls``, plus the code.
+
+    The code is the lexicographically greatest sequence of adjacency
+    chunks (position i: the adjacency of the i-th vertex to the earlier
+    ones, first vertex most significant) over all orderings that list the
+    vertices class by class.  Level-wise search: at each position keep
+    every partial ordering that attains the maximal next chunk; states in
+    which every unplaced vertex sees the same prefix pattern are merged,
+    since their futures are interchangeable.  Exact, not heuristic.
+
+    A state carries, per vertex, its adjacency to the placed vertices with
+    position p at bit n-1-p (-1 once the vertex is placed), so a chunk is
+    read off in O(1) and placing a vertex touches only its neighbors.
+    """
+    nbrs = [list(_bits(m)) for m in masks]
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(cls[v], []).append(v)
+
+    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * n)]
     code: list[int] = []
-    for pos in range(n):
-        want = class_seq[pos]
-        best = -1
-        extended: list[tuple[tuple[int, ...], int]] = []
-        for placed, used in frontier:
-            for v in range(n):
-                if cls[v] != want or (used >> v) & 1:
+    for pos, want in enumerate(sorted(cls)):
+        candidates = members[want]
+        best = 0
+        winners: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+        for placed, seen in frontier:
+            for v in candidates:
+                chunk = seen[v]
+                if chunk < best:
                     continue
-                mv = masks[v]
-                chunk = 0
-                for u in placed:
-                    chunk = (chunk << 1) | ((mv >> u) & 1)
                 if chunk > best:
                     best = chunk
-                    extended = [(placed + (v,), used | (1 << v))]
-                elif chunk == best:
-                    extended.append((placed + (v,), used | (1 << v)))
-        code.append(best)
-        if len(extended) > 1:
-            # Merge states whose remaining vertices all see the same
-            # prefix pattern; their futures are interchangeable.
-            seen: dict[tuple, tuple[tuple[int, ...], int]] = {}
-            for placed, used in extended:
-                sig_parts = [used]
-                for v in range(n):
-                    if (used >> v) & 1:
-                        continue
-                    mv = masks[v]
-                    patt = 0
-                    for u in placed:
-                        patt = (patt << 1) | ((mv >> u) & 1)
-                    sig_parts.append(patt)
-                seen.setdefault(tuple(sig_parts), (placed, used))
-            extended = list(seen.values())
-        frontier = extended
+                    winners = []
+                winners.append((placed, seen, v))
+        code.append(best >> (n - pos))
+        bit = 1 << (n - 1 - pos)
+        merged: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for placed, seen, v in winners:
+            nxt = list(seen)
+            nxt[v] = -1
+            for u in nbrs[v]:
+                if nxt[u] >= 0:
+                    nxt[u] |= bit
+            key = tuple(nxt)
+            if key not in merged:
+                merged[key] = placed + (v,)
+        frontier = [(placed, seen) for seen, placed in merged.items()]
     return frontier[0][0], tuple(code)
 
 
 def canonical_key(g: Graph):
     """Hashable complete isomorphism invariant."""
     masks = g.adjacency_masks()
-    cls, keys = _vertex_classes(g.n, masks)
-    _, code = _canonical_order(g.n, masks)
-    profile = tuple(sorted((keys[c] for c in cls), reverse=True))
-    return (g.n, profile, code)
+    inv, top = _invariants(masks)
+    _, code = _canonical_order(g.n, masks, _vertex_classes(inv))
+    return _key(inv, top, code)
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
     masks = g.adjacency_masks()
-    order, _ = _canonical_order(g.n, masks)
-    position = [0] * g.n
+    order, _ = _canonical_order(g.n, masks, _vertex_classes(_invariants(masks)[0]))
+    return _graph(_relabelled(masks, order))
+
+
+def _key(inv: list[int], top: int, code: tuple[int, ...]):
+    """(n, profile, code); the profile lists every vertex's (degree, sorted
+    neighbor degrees), largest first."""
+    unpacked = {key: _unpack(key, top) for key in set(inv)}
+    return (len(inv), tuple(unpacked[key] for key in sorted(inv, reverse=True)), code)
+
+
+def _relabelled(masks, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency masks with ``order[i]`` renamed to i."""
+    position = [0] * len(order)
     for pos, v in enumerate(order):
         position[v] = pos
-    return g.relabel(position)
+    out = [0] * len(order)
+    for v, m in enumerate(masks):
+        out[position[v]] = sum(1 << position[u] for u in _bits(m))
+    return tuple(out)
 
 
-def _augmentations(parent: Graph) -> Iterator[Graph]:
+def _graph(masks: tuple[int, ...]) -> Graph:
+    n = len(masks)
+    return Graph(n, ((u, v) for v in range(n) for u in range(v) if masks[v] >> u & 1))
+
+
+def _removable(masks, v: int) -> bool:
+    """Deleting v leaves the (connected) graph connected."""
+    if masks[v] & (masks[v] - 1) == 0:
+        return True  # a leaf
+    rest = ((1 << len(masks)) - 1) & ~(1 << v)
+    seen = reach = rest & -rest
+    while reach:
+        nxt = 0
+        while reach:
+            low = reach & -reach
+            nxt |= masks[low.bit_length() - 1]
+            reach ^= low
+        reach = nxt & rest & ~seen
+        seen |= reach
+    return seen == rest
+
+
+def _individualised_code(n: int, masks, cls: list[int], v: int) -> tuple[int, ...]:
+    """Canonical code with v moved into a class of its own, placed first:
+    equal for two vertices exactly when an automorphism maps one onto the
+    other."""
+    own = [c + 1 for c in cls]
+    own[v] = 0
+    return _canonical_order(n, masks, own)[1]
+
+
+def _canonical_child(masks: list[int]):
+    """(canonical key, canonical masks) of a child whose new vertex x is
+    the last one, or None unless x lies in the canonical orbit.
+
+    The canonical orbit holds, among the removable vertices with the
+    smallest invariant (the latest class) and then the smallest sum of
+    neighbor invariants, the one that comes last in the canonical order.
+    A removable vertex below x on either count rejects the child before
+    any search.
+    """
+    n = len(masks)
+    x = n - 1
+    inv, top = _invariants(masks)
+    ix = inv[x]
+    for v in range(x):
+        if inv[v] < ix and _removable(masks, v):
+            return None
+    tied = [v for v in range(x) if inv[v] == ix and _removable(masks, v)]
+    if tied:
+        near = {v: sum(inv[u] for u in _bits(masks[v])) for v in tied + [x]}
+        if any(near[v] < near[x] for v in tied):
+            return None
+        tied = [v for v in tied if near[v] == near[x]]
+    cls = _vertex_classes(inv)
+    order, code = _canonical_order(n, masks, cls)
+    if tied:
+        last = max(tied + [x], key=order.index)
+        if last != x and _individualised_code(n, masks, cls, x) != _individualised_code(
+            n, masks, cls, last
+        ):
+            return None
+    return _key(inv, top, code), _relabelled(masks, order)
+
+
+def _children(parent: tuple[int, ...]) -> Iterator[list[int]]:
     """All ways to join one new vertex to 1..3 vertices of degree < 3."""
-    n = parent.n
-    spots = [v for v in range(n) if parent.degree(v) < 3]
-    base = list(parent.edges)
-    k = len(spots)
-    for i in range(k):
-        yield Graph(n + 1, base + [(spots[i], n)])
-        for j in range(i + 1, k):
-            yield Graph(n + 1, base + [(spots[i], n), (spots[j], n)])
-            for l in range(j + 1, k):
-                yield Graph(
-                    n + 1, base + [(spots[i], n), (spots[j], n), (spots[l], n)]
-                )
+    x = len(parent)
+    spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
+    for size in (1, 2, 3):
+        for joined in combinations(spots, size):
+            masks = list(parent)
+            for v in joined:
+                masks[v] |= 1 << x
+            masks.append(sum(1 << v for v in joined))
+            yield masks
 
 
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
-    """Connected subcubic graphs grouped by vertex count, canonical labels.
-
-    Every connected graph has a vertex whose removal keeps it connected,
-    so augmenting each (n-1)-vertex class by one new vertex reaches every
-    n-vertex class.
-    """
-    level = [Graph(1)]
-    yield level
+    """Connected subcubic graphs grouped by vertex count, canonical labels,
+    each level sorted by canonical key."""
+    yield [Graph(1)]
+    parents: list[tuple[int, ...]] = [(0,)]
     for _ in range(2, max_n + 1):
-        found: dict = {}
-        for parent in level:
-            for child in _augmentations(parent):
-                key = canonical_key(child)
-                if key not in found:
-                    found[key] = canonical_form(child)
-        level = [found[key] for key in sorted(found)]
-        yield level
+        level = []
+        for parent in parents:
+            # Isomorphic kept children of one parent differ by one of its
+            # automorphisms; no other parent can produce them.
+            found: dict = {}
+            for masks in _children(parent):
+                kept = _canonical_child(masks)
+                if kept is not None:
+                    key, canonical = kept
+                    found.setdefault(key, canonical)
+            level.extend(found.items())
+        level.sort(key=itemgetter(0))
+        parents = [masks for _, masks in level]
+        yield [_graph(masks) for masks in parents]
 
 
 def enumerate_subcubic(cfg: EnumerationConfig) -> Iterator[Graph]:

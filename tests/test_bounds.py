@@ -106,6 +106,11 @@ def test_per_component_constant():
     # Two components charge the constant twice: rhs = 6*3/8 - 2/8.
     assert rep.rhs == F(2)
     assert rep.lhs == 2 and rep.tight
+    # A flat constant is only claimed for connected graphs.
+    flat = BoundSpec(triple=triple(0, 0, "2/3"), k_const=F(1), per_component=False)
+    with pytest.raises(NotConnectedError):
+        evaluate_bounds(two_triangles, [bound_by_name("b4"), flat])
+    assert evaluate_bounds(TRIANGLE, [flat])[0].slack == 2
 
 
 def test_bounds_hold_on_small_corpus(corpus_by_n):

@@ -138,6 +138,29 @@ def test_verify_jobs_deterministic(capsys, tmp_path):
     assert runs[0][2]["graphs"] == 5 and runs[0][2]["invalid"] == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_skips_disconnected_under_flat_constant(capsys, tmp_path, jobs):
+    # (0, 0, 2/3) is in P with valid constant 1, but only for connected
+    # graphs: three disjoint claws would read slack -2.
+    claws = emit_graph6(Graph(12, [(c, c + i) for c in (0, 4, 8) for i in (1, 2, 3)]))
+    path = tmp_path / "claws.g6"
+    path.write_bytes(claws + b"\n" + TRIANGLE_G6.encode() + b"\n")
+    flat = ["verify", "--file", str(path), "--triple", "0", "0", "2/3", "--k", "1",
+            "--jobs", jobs]
+    code, out, err = run(capsys, *flat)
+    assert code == 1
+    assert f"skipped {claws.decode()}: " in err
+    assert out == f"graph={TRIANGLE_G6} bound=custom nu=1 rhs=-1 slack=2 (~2.000000) tight=no\n"
+    counts = json.loads(err.strip().splitlines()[-1])["counts"]
+    assert counts == {"graphs": 1, "violations": 0, "tight": 0, "invalid": 1}
+    code, skipped_out, _ = run(capsys, *flat, "--skip-invalid")
+    assert code == 0 and skipped_out == out
+    # The per-component bounds still cover disconnected graphs.
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--bounds", "all",
+                       "--jobs", jobs)
+    assert code == 0 and out.count(f"graph={claws.decode()} ") == 5
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_verify_rejects_jobs_out_of_range(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

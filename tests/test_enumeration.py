@@ -3,6 +3,8 @@ duplicate-freeness, and the seeded random sampler."""
 
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -23,7 +25,22 @@ from matchbounds.graphs import Graph, emit_graph6, is_connected, is_subcubic
 # labeled oracle below, the larger ones are regression pins.
 EXPECTED_CONNECTED_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64, 8: 194, 9: 531, 10: 1733,
+    11: 5524, 12: 19430,
 }
+# Connected 3-regular graphs: K4; K33 and the prism; then 5, 19 and 85.
+CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+# Trees with maximum degree 3, a classic counting sequence.
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 6, 8: 11, 9: 18, 10: 37, 11: 66, 12: 135,
+}
+# sha256 of the graph6 stream of every class with n <= 10, one per line:
+# any change of labels or order has to be deliberate.
+STREAM_SHA256_N10 = "930f627d002bb97435e5466692969bb664f7e8ca7f0a9a4072e09ce2f6c38429"
+
+
+def _swept(expected: dict[int, int], corpus: dict[int, list]) -> dict[int, int]:
+    """The pinned values for the orders the corpus sweeps."""
+    return {n: c for n, c in expected.items() if n <= max(corpus)}
 
 
 def _labeled_connected_subcubic_classes(n: int) -> int:
@@ -106,8 +123,10 @@ def test_counts_match_labeled_oracle(n):
     assert generated == EXPECTED_CONNECTED_COUNTS[n]
 
 
-def test_counts_regression(corpus_by_n):
-    assert {n: len(gs) for n, gs in corpus_by_n.items()} == EXPECTED_CONNECTED_COUNTS
+def test_counts_regression(sweep_corpus_by_n):
+    assert {n: len(gs) for n, gs in sweep_corpus_by_n.items()} == _swept(
+        EXPECTED_CONNECTED_COUNTS, sweep_corpus_by_n
+    )
 
 
 def test_stream_is_duplicate_free(corpus_by_n):
@@ -126,22 +145,56 @@ def test_stream_contents_are_valid(corpus_by_n):
             assert is_connected(g)
 
 
-def test_cubic_subfamily_matches_literature(corpus_by_n):
-    # Connected 3-regular graphs: K4; K33 and the prism; then 5 and 19.
+def test_cubic_subfamily_matches_literature(sweep_corpus_by_n):
     cubic = {
         n: sum(1 for g in gs if all(g.degree(v) == 3 for v in range(g.n)))
-        for n, gs in corpus_by_n.items()
+        for n, gs in sweep_corpus_by_n.items()
     }
-    assert {n: c for n, c in cubic.items() if c} == {4: 1, 6: 2, 8: 5, 10: 19}
+    assert {n: c for n, c in cubic.items() if c} == _swept(CUBIC_COUNTS, sweep_corpus_by_n)
 
 
-def test_tree_subfamily_matches_literature(corpus_by_n):
-    # Trees with maximum degree 3, a classic counting sequence.
+def test_tree_subfamily_matches_literature(sweep_corpus_by_n):
     trees = {
         n: sum(1 for g in gs if len(g.edges) == g.n - 1)
-        for n, gs in corpus_by_n.items()
+        for n, gs in sweep_corpus_by_n.items()
     }
-    assert trees == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 6, 8: 11, 9: 18, 10: 37}
+    assert trees == _swept(TREE_COUNTS, sweep_corpus_by_n)
+
+
+def test_stream_is_pinned():
+    stream = b"".join(
+        emit_graph6(g) + b"\n" for g in enumerate_subcubic(EnumerationConfig(max_n=10))
+    )
+    assert hashlib.sha256(stream).hexdigest() == STREAM_SHA256_N10
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_classes_are_pairwise_non_isomorphic(corpus_by_n):
+    # Independent oracle for the acceptance rule: no two classes of one
+    # order are isomorphic.
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 10):
+        buckets: dict[str, list] = {}
+        for g in corpus_by_n[n]:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        for bucket in buckets.values():
+            for a, b in combinations(bucket, 2):
+                assert not nx.is_isomorphic(a, b), (n, sorted(a.edges))
+
+
+def test_canonical_key_invariant_on_every_small_class(corpus_by_n):
+    # Classes are often symmetric, unlike random_subcubic draws.
+    rnd = random.Random(0)
+    for n in range(1, 9):
+        for g in corpus_by_n[n]:
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            h = g.relabel(perm)
+            assert canonical_key(h) == canonical_key(g)
+            assert canonical_form(h) == g
 
 
 def test_stream_order_is_deterministic():
@@ -165,6 +218,18 @@ def test_canonical_key_is_complete_on_corpus(corpus_by_n):
         cf = canonical_form(g)
         assert canonical_key(cf) == canonical_key(g)
         assert cf.n == g.n and len(cf.edges) == len(g.edges)
+
+
+def test_canonical_key_profile_beyond_degree_three():
+    # A 5-star with one leaf extended: the packed invariants need 3-bit
+    # fields here, and the key still lists the plain tuples.
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)])
+    n, profile, _ = canonical_key(g)
+    assert n == 7
+    assert profile == (
+        (5, (2, 1, 1, 1, 1)), (2, (5, 1)), (1, (5,)), (1, (5,)), (1, (5,)), (1, (5,)),
+        (1, (2,)),
+    )
 
 
 @settings(max_examples=120, deadline=None)
