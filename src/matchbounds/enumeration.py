@@ -118,9 +118,7 @@ def _vertex_classes(inv: list[int]) -> list[int]:
     return [index[key] for key in inv]
 
 
-def _canonical_order(
-    n: int, masks, cls: list[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_order(masks, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One vertex ordering achieving the canonical code under the vertex
     classes ``cls``, plus the code.
 
@@ -136,6 +134,7 @@ def _canonical_order(
     position p at bit n-1-p (-1 once the vertex is placed), so a chunk is
     read off in O(1) and placing a vertex touches only its neighbors.
     """
+    n = len(masks)
     nbrs = [list(_bits(m)) for m in masks]
     members: dict[int, list[int]] = {}
     for v in range(n):
@@ -176,14 +175,14 @@ def canonical_key(g: Graph):
     """Hashable complete isomorphism invariant."""
     masks = g.adjacency_masks()
     inv, top = _invariants(masks)
-    _, code = _canonical_order(g.n, masks, _vertex_classes(inv))
+    _, code = _canonical_order(masks, _vertex_classes(inv))
     return _key(inv, top, code)
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
     masks = g.adjacency_masks()
-    order, _ = _canonical_order(g.n, masks, _vertex_classes(_invariants(masks)[0]))
+    order, _ = _canonical_order(masks, _vertex_classes(_invariants(masks)[0]))
     return _graph(_relabelled(masks, order))
 
 
@@ -227,13 +226,13 @@ def _removable(masks, v: int) -> bool:
     return seen == rest
 
 
-def _individualised_code(n: int, masks, cls: list[int], v: int) -> tuple[int, ...]:
+def _individualised_code(masks, cls: list[int], v: int) -> tuple[int, ...]:
     """Canonical code with v moved into a class of its own, placed first:
     equal for two vertices exactly when an automorphism maps one onto the
     other."""
     own = [c + 1 for c in cls]
     own[v] = 0
-    return _canonical_order(n, masks, own)[1]
+    return _canonical_order(masks, own)[1]
 
 
 def _canonical_child(masks: list[int]):
@@ -246,8 +245,7 @@ def _canonical_child(masks: list[int]):
     A removable vertex below x on either count rejects the child before
     any search.
     """
-    n = len(masks)
-    x = n - 1
+    x = len(masks) - 1
     inv, top = _invariants(masks)
     ix = inv[x]
     for v in range(x):
@@ -260,11 +258,11 @@ def _canonical_child(masks: list[int]):
             return None
         tied = [v for v in tied if near[v] == near[x]]
     cls = _vertex_classes(inv)
-    order, code = _canonical_order(n, masks, cls)
+    order, code = _canonical_order(masks, cls)
     if tied:
         last = max(tied + [x], key=order.index)
-        if last != x and _individualised_code(n, masks, cls, x) != _individualised_code(
-            n, masks, cls, last
+        if last != x and _individualised_code(masks, cls, x) != _individualised_code(
+            masks, cls, last
         ):
             return None
     return _key(inv, top, code), _relabelled(masks, order)
