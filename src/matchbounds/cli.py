@@ -105,6 +105,13 @@ def _jobs_type(text: str) -> int:
     return jobs
 
 
+def _positive_type(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _corpus(args) -> tuple[str, Iterator[Graph]]:
     """Resolve the graph source flags into (description, graph stream)."""
     if args.enumerate is not None:
@@ -115,16 +122,13 @@ def _corpus(args) -> tuple[str, Iterator[Graph]]:
             with open(args.file, "rb") as fh:
                 yield from iter_graph6_lines(fh)
         return args.file, stream()
-    if args.random is not None:
-        def rand_stream() -> Iterator[Graph]:
-            for i in range(args.random):
-                yield random_subcubic(args.size, args.seed + i)
-        return (
-            f"random x{args.random} n={args.size} seed={args.seed}",
-            rand_stream(),
-        )
-    raise argparse.ArgumentTypeError(
-        "one of --enumerate/--file/--random is required"
+
+    def rand_stream() -> Iterator[Graph]:
+        for i in range(args.random):
+            yield random_subcubic(args.size, args.seed + i)
+    return (
+        f"random x{args.random} n={args.size} seed={args.seed}",
+        rand_stream(),
     )
 
 
@@ -376,12 +380,13 @@ def cmd_ge(args) -> int:
 
 
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--enumerate", type=int, metavar="N",
-                     help="exhaustive corpus of connected subcubic graphs, n <= N (N <= 12)")
-    sub.add_argument("--file", metavar="PATH", help="graph6 file, one graph per line")
-    sub.add_argument("--random", type=int, metavar="COUNT",
-                     help="seeded random connected subcubic graphs")
-    sub.add_argument("--size", type=int, default=16, help="order of random graphs")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--enumerate", type=int, metavar="N",
+                        help="exhaustive corpus of connected subcubic graphs, n <= N (N <= 12)")
+    source.add_argument("--file", metavar="PATH", help="graph6 file, one graph per line")
+    source.add_argument("--random", type=_positive_type, metavar="COUNT",
+                        help="seeded random connected subcubic graphs")
+    sub.add_argument("--size", type=_positive_type, default=16, help="order of random graphs")
     sub.add_argument("--seed", type=int, default=0, help="base seed for --random")
     sub.add_argument("--manifest", metavar="PATH",
                      help="write the run manifest to PATH instead of stderr")
@@ -468,7 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidParameterError,
         LimitExceededError,
         MalformedGraph6Error,
-        argparse.ArgumentTypeError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 _HARD_MAX_N = 12
 
@@ -317,51 +317,38 @@ def enumerate_subcubic(cfg: EnumerationConfig) -> Iterator[Graph]:
 def random_subcubic(n: int, seed: int) -> Graph:
     """A seeded pseudorandom connected subcubic graph on n vertices.
 
-    Degree-capped random edge insertion, rejecting disconnected draws;
-    falls back to a random degree-capped spanning tree plus extra edges
-    if rejection keeps failing.  Deterministic per (n, seed); makes no
-    uniformity claim.
+    A random spanning tree with degrees capped at 3, grown in a shuffled
+    vertex order by joining each new vertex to a random tree vertex of
+    degree < 3, so the draw is connected by construction.  Then an edge
+    target m is drawn from n - 1..3n // 2, and shuffled free stubs (3 - deg
+    per vertex) are paired until there are m edges, dropping any pair that
+    would make a loop or a parallel edge.  O(n + m) time and memory;
+    deterministic per (n, seed); makes no uniformity claim.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = random.Random(seed)
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(200):
-        pairs = all_pairs[:]
-        rng.shuffle(pairs)
-        target = rng.randint(max(1, n - 1), max(1, (3 * n) // 2))
-        deg = [0] * n
-        edges = []
-        for u, v in pairs:
-            if len(edges) >= target:
-                break
-            if deg[u] < 3 and deg[v] < 3:
-                edges.append((u, v))
-                deg[u] += 1
-                deg[v] += 1
-        g = Graph(n, edges)
-        if is_connected(g):
-            return g
-    # Guaranteed-connected fallback: a tree always has a vertex of
-    # degree < 3 to attach to.
-    order = list(range(1, n))
+    order = list(range(n))
     rng.shuffle(order)
-    deg = [0] * n
-    edges = []
-    attached = [0]
-    for v in order:
-        u = rng.choice([w for w in attached if deg[w] < 3])
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-        attached.append(v)
-    extras = [
-        (u, v) for u, v in all_pairs if (u, v) not in set(map(tuple, map(sorted, edges)))
-    ]
-    rng.shuffle(extras)
-    for u, v in extras[: n // 2]:
-        if deg[u] < 3 and deg[v] < 3:
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-    return Graph(n, edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    open_ = [order[0]]  # tree vertices of degree < 3
+    for v in order[1:]:
+        i = rng.randrange(len(open_))
+        u = open_[i]
+        adj[u].append(v)
+        adj[v].append(u)
+        if len(adj[u]) == 3:
+            open_[i] = open_[-1]
+            open_.pop()
+        open_.append(v)
+    extra = rng.randint(n - 1, 3 * n // 2) - (n - 1)  # the tree has n - 1 edges
+    stubs = [v for v in range(n) for _ in range(3 - len(adj[v]))]
+    rng.shuffle(stubs)
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if extra == 0:
+            break
+        if u != v and v not in adj[u]:
+            adj[u].append(v)
+            adj[v].append(u)
+            extra -= 1
+    return Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))

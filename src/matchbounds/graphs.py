@@ -60,10 +60,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self._adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.edges
-
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent)."""
         masks = [0] * self.n

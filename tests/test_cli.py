@@ -278,6 +278,25 @@ def test_usage_error_without_corpus(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "ge"])
+def test_usage_error_with_two_corpora(capsys, command):
+    code, out, err = run(capsys, command, "--enumerate", "3", "--random", "2", "--size", "5")
+    assert code == 2
+    assert out == "" and "not allowed with" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "ge"])
+@pytest.mark.parametrize("flags", [["--random", "-5"], ["--random", "0"],
+                                   ["--random", "2", "--size", "0"],
+                                   ["--random", "2", "--size", "-3"]])
+def test_rejects_counts_below_one(capsys, tmp_path, command, flags):
+    manifest = tmp_path / "manifest.json"
+    code, out, err = run(capsys, command, *flags, "--manifest", str(manifest))
+    assert code == 2
+    assert out == "" and flags[-2] in err
+    assert not manifest.exists()
+
+
 def test_bound_list_selection(capsys):
     code, out, _ = run(capsys, "verify", "--enumerate", "3", "--bounds", "b2,b4")
     assert code == 0

@@ -36,6 +36,10 @@ TREE_COUNTS = {
 # sha256 of the graph6 stream of every class with n <= 10, one per line:
 # any change of labels or order has to be deliberate.
 STREAM_SHA256_N10 = "930f627d002bb97435e5466692969bb664f7e8ca7f0a9a4072e09ce2f6c38429"
+# sha256 of the graph6 lines of random_subcubic(n, seed) for these draws:
+# the sampler's output per (n, seed) is a contract too.
+SAMPLER_DRAWS = ((1, 0), (7, 3), (16, 1), (40, 11), (800, 0), (800, 1))
+SAMPLER_SHA256 = "e75920a6e690147b9ffa20371e5ca33d9867f7fc954aa19802ed1e2574401e58"
 
 
 def _swept(expected: dict[int, int], corpus: dict[int, list]) -> dict[int, int]:
@@ -250,10 +254,34 @@ def test_random_subcubic_contract():
     b = random_subcubic(16, 1)
     assert a == b
     assert emit_graph6(a) == emit_graph6(b)
-    for seed in range(300):
-        g = random_subcubic(11, seed)
-        assert is_subcubic(g)
-        assert is_connected(g)
-    assert random_subcubic(1, 7).n == 1
+    sizes_at_12 = set()
+    for n in range(1, 41):
+        for seed in range(300):
+            g = random_subcubic(n, seed)
+            assert g.n == n
+            assert is_subcubic(g)
+            assert is_connected(g)
+            assert n - 1 <= len(g.edges) <= 3 * n // 2
+            if n == 12:
+                sizes_at_12.add(len(g.edges))
+    # The draws still span trees to near-cubic graphs.
+    assert 11 in sizes_at_12
+    assert max(sizes_at_12) >= 16
     with pytest.raises(ValueError):
         random_subcubic(0, 1)
+
+
+def test_random_subcubic_is_pinned():
+    lines = b"".join(
+        emit_graph6(random_subcubic(n, seed)) + b"\n" for n, seed in SAMPLER_DRAWS
+    )
+    assert hashlib.sha256(lines).hexdigest() == SAMPLER_SHA256
+
+
+def test_random_subcubic_large_order():
+    n = 50_000
+    g = random_subcubic(n, 3)
+    assert is_subcubic(g)
+    assert is_connected(g)
+    assert n - 1 <= len(g.edges) <= 3 * n // 2
+    assert random_subcubic(n, 3) == g
