@@ -31,7 +31,6 @@ from .families import (
     closed_nu,
     closed_profile,
     generate,
-    violated_inequality_family,
 )
 from .graphs import (
     DegreeProfile,

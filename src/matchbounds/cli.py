@@ -13,12 +13,15 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .bounds import (
+    BoundReport,
     BoundSpec,
     NotConnectedError,
     TripleInPError,
@@ -29,16 +32,10 @@ from .bounds import (
     report_dict,
     sharp_bounds,
 )
-from .enumeration import (
-    EnumerationConfig,
-    LimitExceededError,
-    enumerate_subcubic,
-    random_subcubic,
-)
-from .families import FAMILY_IDS, FamilySpec, InvalidParameterError, closed_nu, generate
+from .enumeration import _HARD_MAX_N, EnumerationConfig, enumerate_subcubic, random_subcubic
+from .families import FAMILY_IDS, FamilySpec, closed_nu, generate
 from .graphs import (
     Graph,
-    MalformedGraph6Error,
     NotSubcubicError,
     degree_profile,
     emit_graph6,
@@ -48,8 +45,6 @@ from .graphs import (
 from .matching import nu
 from .polytope import (
     CoefficientTriple,
-    NegativeLambdaError,
-    NotInPError,
     contains,
     parse_fraction,
     polyhedron_P,
@@ -97,19 +92,19 @@ def _triple_type(parts: list[str]) -> CoefficientTriple:
     return CoefficientTriple(x3, x2, x1)
 
 
-def _jobs_type(text: str) -> int:
-    jobs = int(text)
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {jobs}")
-    return jobs
+def _int_in(low: int, high: int | None = None, hint: str = "") -> Callable[[str], int]:
+    """An argparse type: an integer in low..high, unbounded above when
+    ``high`` is None.  ``hint`` ends the message for a value above ``high``."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}{hint}")
+        return value
 
-def _positive_type(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return integer
 
 
 def _corpus(args) -> tuple[str, Iterator[Graph]]:
@@ -123,13 +118,33 @@ def _corpus(args) -> tuple[str, Iterator[Graph]]:
                 yield from iter_graph6_lines(fh)
         return args.file, stream()
 
+    size = 16 if args.size is None else args.size
+    seed = 0 if args.seed is None else args.seed
+
     def rand_stream() -> Iterator[Graph]:
         for i in range(args.random):
-            yield random_subcubic(args.size, args.seed + i)
-    return (
-        f"random x{args.random} n={args.size} seed={args.seed}",
-        rand_stream(),
-    )
+            yield random_subcubic(size, seed + i)
+    return f"random x{args.random} n={size} seed={seed}", rand_stream()
+
+
+@contextmanager
+def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
+    """Run one corpus sweep under its manifest.
+
+    Yields ``(graph stream, counts)``; the caller adds to ``counts``, which
+    the manifest holds.  Any exception, ``KeyboardInterrupt`` included,
+    marks the manifest partial; it is written either way."""
+    started = time.time()
+    corpus, stream = _corpus(args)
+    manifest = RunManifest(command, config, corpus, counts=dict.fromkeys(count_names, 0))
+    try:
+        yield stream, manifest.counts
+    except BaseException:
+        manifest.partial = True
+        raise
+    finally:
+        manifest.wall_time_s = round(time.time() - started, 3)
+        _write_manifest(manifest, args.manifest)
 
 
 def _selected_bounds(args) -> list[BoundSpec]:
@@ -154,92 +169,69 @@ def _selected_bounds(args) -> list[BoundSpec]:
     return specs
 
 
-def _verify_one(g: Graph, g6: str, specs: list[BoundSpec]) -> list[dict] | str:
-    """The reports of ``g`` (graph6 ``g6``) for each spec, or the line to
-    print when ``g`` is not subcubic, or is disconnected under a flat K."""
+def _report_line(g6: str, bound: str, rep: BoundReport) -> str:
+    return (
+        f"graph={g6} bound={bound} nu={rep.lhs} "
+        f"rhs={rep.rhs} slack={rep.slack} (~{_approx(rep.slack)}) "
+        f"tight={'yes' if rep.tight else 'no'}"
+    )
+
+
+def _verify_one(
+    g6: bytes, g: Graph | None = None, *,
+    specs: list[BoundSpec], as_json: bool, tight_only: bool,
+) -> tuple[str, int, int] | str:
+    """Check the graph with graph6 ``g6`` (parsed here unless ``g`` is
+    given) against each spec.
+
+    Returns its output lines as one text, with the number of violated and
+    of tight bounds; or the line to print when the graph is not subcubic,
+    or is disconnected under a flat K."""
+    text = g6.decode("ascii")
+    if g is None:
+        g = parse_graph6(g6)
     try:
         reports = evaluate_bounds(g, specs)
     except (NotSubcubicError, NotConnectedError) as exc:
-        return f"skipped {g6}: {exc}"
-    return [report_dict(g6, spec.name, rep) for spec, rep in zip(specs, reports)]
-
-
-_POOL_SPECS: list[BoundSpec] = []
-
-
-def _pool_init(specs: list[BoundSpec]) -> None:
-    global _POOL_SPECS
-    _POOL_SPECS = specs
-
-
-def _pool_worker(g6: bytes) -> list[dict] | str:
-    return _verify_one(parse_graph6(g6), g6.decode("ascii"), _POOL_SPECS)
-
-
-def _report_line(rep: dict) -> str:
-    slack = Fraction(rep["slack"])
-    return (
-        f"graph={rep['graph']} bound={rep['bound']} nu={rep['nu']} "
-        f"rhs={rep['rhs']} slack={rep['slack']} (~{_approx(slack)}) "
-        f"tight={'yes' if rep['tight'] else 'no'}"
-    )
+        return f"skipped {text}: {exc}"
+    lines = [
+        json.dumps(report_dict(text, spec.name, rep)) if as_json
+        else _report_line(text, spec.name, rep)
+        for spec, rep in zip(specs, reports)
+        if rep.tight or not tight_only
+    ]
+    violations = sum(rep.slack < 0 for rep in reports)
+    return "\n".join(lines), violations, sum(rep.tight for rep in reports)
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
     specs = _selected_bounds(args)
-    manifest = RunManifest(
-        command="verify",
-        config={
-            "bounds": [s.name for s in specs],
-            "tight_only": args.tight_only,
-            "skip_invalid": args.skip_invalid,
-            "jobs": args.jobs,
-        },
-        corpus="",
-    )
-    graphs_checked = violations = tight = invalid = 0
-    try:
-        corpus_name, stream = _corpus(args)
-        manifest.corpus = corpus_name
-
-        def consume(results: Iterable[list[dict] | str]) -> None:
-            nonlocal graphs_checked, violations, tight, invalid
-            for result in results:
-                if isinstance(result, str):
-                    invalid += 1
-                    print(result, file=sys.stderr)
-                    continue
-                graphs_checked += 1
-                for rep in result:
-                    if Fraction(rep["slack"]) < 0:
-                        violations += 1
-                    if rep["tight"]:
-                        tight += 1
-                    if args.tight_only and not rep["tight"]:
-                        continue
-                    print(json.dumps(rep) if args.json else _report_line(rep))
-
+    config = {
+        "bounds": [s.name for s in specs],
+        "tight_only": args.tight_only,
+        "skip_invalid": args.skip_invalid,
+        "jobs": args.jobs,
+    }
+    check = partial(_verify_one, specs=specs, as_json=args.json, tight_only=args.tight_only)
+    counted = ("graphs", "violations", "tight", "invalid")
+    with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
-            with Pool(args.jobs, initializer=_pool_init, initargs=(specs,)) as pool:
-                consume(pool.imap(_pool_worker, (emit_graph6(g) for g in stream),
-                                  chunksize=64))
+            pool = stack.enter_context(Pool(args.jobs))
+            results = pool.imap(check, (emit_graph6(g) for g in stream), chunksize=64)
         else:
-            consume(_verify_one(g, emit_graph6(g).decode("ascii"), specs) for g in stream)
-        manifest.partial = False
-    except BaseException:
-        manifest.partial = True
-        raise
-    finally:
-        manifest.counts = {
-            "graphs": graphs_checked,
-            "violations": violations,
-            "tight": tight,
-            "invalid": invalid,
-        }
-        manifest.wall_time_s = round(time.time() - started, 3)
-        _write_manifest(manifest, args.manifest)
-    if violations or (invalid and not args.skip_invalid):
+            results = (check(emit_graph6(g), g) for g in stream)
+        for result in results:
+            if isinstance(result, str):
+                counts["invalid"] += 1
+                print(result, file=sys.stderr)
+                continue
+            text, violations, tight = result
+            counts["graphs"] += 1
+            counts["violations"] += violations
+            counts["tight"] += tight
+            if text:
+                print(text)
+    if counts["violations"] or (counts["invalid"] and not args.skip_invalid):
         return EXIT_VIOLATIONS
     return EXIT_OK
 
@@ -341,18 +333,13 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_ge(args) -> int:
-    started = time.time()
-    manifest = RunManifest(command="ge", config={}, corpus="")
-    checked = failures = 0
-    try:
-        corpus_name, stream = _corpus(args)
-        manifest.corpus = corpus_name
+    with _sweep(args, "ge", {}, ("graphs", "violations")) as (stream, counts):
         for g in stream:
             d = gallai_edmonds(g)
             rep = _ge_properties(g, d)
-            checked += 1
+            counts["graphs"] += 1
             if not rep.all_true():
-                failures += 1
+                counts["violations"] += 1
             g6 = emit_graph6(g).decode("ascii")
             if args.json:
                 print(json.dumps({
@@ -369,27 +356,32 @@ def cmd_ge(args) -> int:
                     f"perfect={'yes' if rep.c_components_perfectly_matched else 'no'} "
                     f"surplus={'yes' if rep.b_neighborhood_surplus else 'no'}"
                 )
-    except BaseException:
-        manifest.partial = True
-        raise
-    finally:
-        manifest.counts = {"graphs": checked, "violations": failures}
-        manifest.wall_time_s = round(time.time() - started, 3)
-        _write_manifest(manifest, args.manifest)
-    return EXIT_VIOLATIONS if failures else EXIT_OK
+    return EXIT_VIOLATIONS if counts["violations"] else EXIT_OK
 
 
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--enumerate", type=int, metavar="N",
-                        help="exhaustive corpus of connected subcubic graphs, n <= N (N <= 12)")
+    source.add_argument("--enumerate", metavar="N",
+                        type=_int_in(1, _HARD_MAX_N, "; use --file for larger sweeps"),
+                        help="exhaustive corpus of connected subcubic graphs, "
+                             f"n <= N (1 <= N <= {_HARD_MAX_N})")
     source.add_argument("--file", metavar="PATH", help="graph6 file, one graph per line")
-    source.add_argument("--random", type=_positive_type, metavar="COUNT",
+    source.add_argument("--random", type=_int_in(1), metavar="COUNT",
                         help="seeded random connected subcubic graphs")
-    sub.add_argument("--size", type=_positive_type, default=16, help="order of random graphs")
-    sub.add_argument("--seed", type=int, default=0, help="base seed for --random")
+    sub.add_argument("--size", type=_int_in(1), help="order of random graphs (default 16)")
+    sub.add_argument("--seed", type=int, help="base seed for --random (default 0)")
     sub.add_argument("--manifest", metavar="PATH",
                      help="write the run manifest to PATH instead of stderr")
+
+
+# Flags that only qualify another flag: (flag, the flag it needs).
+_QUALIFIERS = (("size", "random"), ("seed", "random"), ("k", "triple"))
+
+
+def _reject_lone_qualifiers(parser: argparse.ArgumentParser, args) -> None:
+    for flag, needed in _QUALIFIERS:
+        if getattr(args, flag, None) is not None and getattr(args, needed, None) is None:
+            parser.error(f"argument --{flag}: requires --{needed}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     poly = subs.add_parser("polytope", help="coefficient polyhedron queries")
+    poly.set_defaults(run=cmd_polytope)
     poly_subs = poly.add_subparsers(dest="subcommand", required=True)
     poly_subs.add_parser("vertices", parents=[common],
                          help="the 13 extreme points of the bounded part")
@@ -416,21 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", parents=[common],
                           help="evaluate bounds over a graph corpus")
+    ver.set_defaults(run=cmd_verify)
     _add_corpus_flags(ver)
     ver.add_argument("--bounds", metavar="LIST",
                      help="'all' or comma list from b1..b5 (default: all)")
     ver.add_argument("--triple", nargs=3, metavar=("X3", "X2", "X1"),
                      help="custom coefficients (flat constant K)")
-    ver.add_argument("--k", type=parse_fraction, help="constant for --triple")
+    ver.add_argument("--k", type=parse_fraction, help="constant for --triple (default 0)")
     ver.add_argument("--tight-only", action="store_true",
                      help="only print reports with slack exactly 0")
     ver.add_argument("--skip-invalid", action="store_true",
                      help="do not fail on non-subcubic input lines")
-    ver.add_argument("--jobs", type=_jobs_type, default=1,
+    ver.add_argument("--jobs", type=_int_in(1, os.cpu_count() or 1), default=1,
                      help="parallel workers, 1 to the CPU count (default 1)")
 
     fam = subs.add_parser("family", parents=[common],
                           help="generate an extremal family member")
+    fam.set_defaults(run=cmd_family)
     fam.add_argument("family", choices=FAMILY_IDS)
     fam.add_argument("t", type=int)
     fam.add_argument("--stats", action="store_true",
@@ -438,11 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ctr = subs.add_parser("counterexample", parents=[common],
                           help="certified violation for a triple outside the polyhedron")
+    ctr.set_defaults(run=cmd_counterexample)
     ctr.add_argument("--triple", nargs=3, required=True, metavar=("X3", "X2", "X1"))
     ctr.add_argument("--k", type=parse_fraction, help="constant K (default 0)")
 
     ge = subs.add_parser("ge", parents=[common],
                          help="decomposition property reports")
+    ge.set_defaults(run=cmd_ge)
     _add_corpus_flags(ge)
 
     return parser
@@ -452,34 +449,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_lone_qualifiers(parser, args)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        if args.command == "polytope":
-            return cmd_polytope(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "family":
-            return cmd_family(args)
-        if args.command == "counterexample":
-            return cmd_counterexample(args)
-        if args.command == "ge":
-            return cmd_ge(args)
-        parser.error(f"unknown command {args.command}")
-    except (
-        ValueError,
-        NotInPError,
-        NegativeLambdaError,
-        InvalidParameterError,
-        LimitExceededError,
-        MalformedGraph6Error,
-        OSError,
-    ) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         return 130
-    return EXIT_USAGE
 
 
 def entry() -> None:

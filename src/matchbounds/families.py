@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import DegreeProfile, Graph
 
 FAMILY_IDS = ("G1", "G2", "G3", "G4", "G5", "G6")
+
+# The closed forms describe a member at any t, but ``generate`` refuses to
+# build one with more vertices than this.
+MAX_GENERATED_ORDER = 2_000_000
 
 
 class InvalidParameterError(ValueError):
@@ -106,9 +110,16 @@ def _pendant_cycle_edges(t: int) -> list[tuple[int, int]]:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the family member as a concrete graph."""
+    """Build the family member as a concrete graph; one with more than
+    ``MAX_GENERATED_ORDER`` vertices is refused before anything is built."""
     t = spec.t
     fid = spec.family_id
+    # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
+    # spares a huge t the evaluation of 2**t.
+    if (fid in ("G1", "G2") and t > 64) or family_order(spec) > MAX_GENERATED_ORDER:
+        raise InvalidParameterError(
+            f"{fid}(t={t}) has more than {MAX_GENERATED_ORDER} vertices; too large to build"
+        )
     if fid == "G1":
         edges, _ = _cubic_tree_edges(t)
         return Graph(3 * 2 ** (t + 1) - 2, edges)
@@ -210,8 +221,3 @@ def family_for_halfspace(index: int) -> str:
         raise ValueError(f"half-space index must be 1..6, got {index}")
     return _FAMILY_FOR_HALFSPACE[index]
 
-
-def violated_inequality_family(index: int) -> Callable[[int], FamilySpec]:
-    """Constructor for the family whose growth forces constraint ``index``."""
-    fid = family_for_halfspace(index)
-    return lambda t: FamilySpec(fid, t)

@@ -245,6 +245,13 @@ def test_family_invalid_parameter(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("family, t", [("G1", "25"), ("G1", "1000000001"), ("G3", "1000000")])
+def test_family_refuses_members_too_large_to_build(capsys, family, t):
+    code, out, err = run(capsys, "family", family, t)
+    assert code == 2
+    assert out == "" and "too large to build" in err
+
+
 def test_family_stats_extrapolated(capsys):
     code, out, _ = run(capsys, "family", "G3", "33", "--stats")
     assert code == 0
@@ -294,6 +301,29 @@ def test_rejects_counts_below_one(capsys, tmp_path, command, flags):
     code, out, err = run(capsys, command, *flags, "--manifest", str(manifest))
     assert code == 2
     assert out == "" and flags[-2] in err
+    assert not manifest.exists()
+
+
+_PARSE_TIME_REJECTIONS = [
+    (["verify", "--enumerate", "0"], "argument --enumerate: must be at least 1"),
+    (["ge", "--enumerate", "0"], "argument --enumerate: must be at least 1"),
+    (["verify", "--enumerate", "13"], "argument --enumerate: must be at most 12, got 13; use --file"),
+    (["ge", "--enumerate", "13"], "argument --enumerate: must be at most 12, got 13; use --file"),
+    (["verify", "--enumerate", "3", "--size", "5"], "argument --size: requires --random"),
+    (["ge", "--enumerate", "3", "--size", "5"], "argument --size: requires --random"),
+    (["verify", "--file", "X", "--seed", "1"], "argument --seed: requires --random"),
+    (["ge", "--file", "X", "--seed", "1"], "argument --seed: requires --random"),
+    (["verify", "--enumerate", "3", "--k", "1"], "argument --k: requires --triple"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _PARSE_TIME_REJECTIONS,
+                         ids=[" ".join(argv) for argv, _ in _PARSE_TIME_REJECTIONS])
+def test_rejects_flags_at_parse_time(capsys, tmp_path, argv, message):
+    manifest = tmp_path / "manifest.json"
+    code, out, err = run(capsys, *argv, "--manifest", str(manifest))
+    assert code == 2
+    assert out == "" and message in err
     assert not manifest.exists()
 
 

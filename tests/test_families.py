@@ -16,7 +16,6 @@ from matchbounds.families import (
     family_for_halfspace,
     family_order,
     generate,
-    violated_inequality_family,
 )
 from matchbounds.graphs import Graph, degree_profile, is_connected
 from matchbounds.matching import nu
@@ -109,10 +108,6 @@ def test_constraint_to_family_mapping():
     assert family_for_halfspace(4) == "G5"   # x3 + 3x2/2 <= 1
     assert family_for_halfspace(5) == "G3"   # x3 + x2 + x1 <= 1
     assert family_for_halfspace(6) == "G4"   # x3 + x2/6 <= 1/2
-    make = violated_inequality_family(1)
-    assert make(3) == FamilySpec("G2", 3)
-    with pytest.raises(ValueError):
-        violated_inequality_family(0)
 
 
 def test_admissible_t_sequences():
