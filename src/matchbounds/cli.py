@@ -1,7 +1,8 @@
 """Command-line verification workflows with machine-readable reports.
 
 Exit codes are a stable contract: 0 means success / no violations,
-1 means violations were found, 2 means a usage or parse error.
+1 means violations were found, 2 means a usage or parse error,
+130 an interrupt and 141 a stdout closed by its reader.
 All numeric output is exact-fraction first; decimal renderings are
 display-only and marked as such.
 """
@@ -35,12 +36,12 @@ from .bounds import (
 from .enumeration import _HARD_MAX_N, EnumerationConfig, enumerate_subcubic, random_subcubic
 from .families import FAMILY_IDS, FamilySpec, closed_nu, generate
 from .graphs import (
+    MAX_GRAPH6_ORDER,
     Graph,
     NotSubcubicError,
     degree_profile,
     emit_graph6,
     iter_graph6_lines,
-    parse_graph6,
 )
 from .matching import nu
 from .polytope import (
@@ -133,12 +134,14 @@ def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
 
     Yields ``(graph stream, counts)``; the caller adds to ``counts``, which
     the manifest holds.  Any exception, ``KeyboardInterrupt`` included,
-    marks the manifest partial; it is written either way."""
+    marks the manifest partial, as does a stdout closed before the sweep's
+    output is flushed; it is written either way."""
     started = time.time()
     corpus, stream = _corpus(args)
     manifest = RunManifest(command, config, corpus, counts=dict.fromkeys(count_names, 0))
     try:
         yield stream, manifest.counts
+        sys.stdout.flush()
     except BaseException:
         manifest.partial = True
         raise
@@ -178,27 +181,24 @@ def _report_line(g6: str, bound: str, rep: BoundReport) -> str:
 
 
 def _verify_one(
-    g6: bytes, g: Graph | None = None, *,
-    specs: list[BoundSpec], as_json: bool, tight_only: bool,
+    g: Graph, *, specs: list[BoundSpec], as_json: bool, tight_only: bool,
 ) -> tuple[str, int, int] | str:
-    """Check the graph with graph6 ``g6`` (parsed here unless ``g`` is
-    given) against each spec.
+    """Check ``g`` against each spec.
 
     Returns its output lines as one text, with the number of violated and
     of tight bounds; or the line to print when the graph is not subcubic,
-    or is disconnected under a flat K."""
-    text = g6.decode("ascii")
-    if g is None:
-        g = parse_graph6(g6)
+    or is disconnected under a flat K.  Graph6 is encoded only for a line
+    that is printed."""
     try:
         reports = evaluate_bounds(g, specs)
     except (NotSubcubicError, NotConnectedError) as exc:
-        return f"skipped {text}: {exc}"
+        return f"skipped {emit_graph6(g).decode('ascii')}: {exc}"
+    shown = [(spec, rep) for spec, rep in zip(specs, reports) if rep.tight or not tight_only]
+    text = emit_graph6(g).decode("ascii") if shown else ""
     lines = [
         json.dumps(report_dict(text, spec.name, rep)) if as_json
         else _report_line(text, spec.name, rep)
-        for spec, rep in zip(specs, reports)
-        if rep.tight or not tight_only
+        for spec, rep in shown
     ]
     violations = sum(rep.slack < 0 for rep in reports)
     return "\n".join(lines), violations, sum(rep.tight for rep in reports)
@@ -217,9 +217,9 @@ def cmd_verify(args) -> int:
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(Pool(args.jobs))
-            results = pool.imap(check, (emit_graph6(g) for g in stream), chunksize=64)
+            results = pool.imap(check, stream, chunksize=64)
         else:
-            results = (check(emit_graph6(g), g) for g in stream)
+            results = map(check, stream)
         for result in results:
             if isinstance(result, str):
                 counts["invalid"] += 1
@@ -368,7 +368,8 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
     source.add_argument("--file", metavar="PATH", help="graph6 file, one graph per line")
     source.add_argument("--random", type=_int_in(1), metavar="COUNT",
                         help="seeded random connected subcubic graphs")
-    sub.add_argument("--size", type=_int_in(1), help="order of random graphs (default 16)")
+    sub.add_argument("--size", type=_int_in(1, MAX_GRAPH6_ORDER),
+                     help=f"order of random graphs, 1 to {MAX_GRAPH6_ORDER} (default 16)")
     sub.add_argument("--seed", type=int, help="base seed for --random (default 0)")
     sub.add_argument("--manifest", metavar="PATH",
                      help="write the run manifest to PATH instead of stderr")
@@ -453,7 +454,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # meet a closed stdout here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early; silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,9 @@ return a new graph together with an index map instead of mutating.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -18,8 +20,12 @@ class MalformedGraph6Error(ValueError):
     """Invalid graph6 input; ``offset`` is the byte position of the defect."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        # Both arguments go to ``args``, from which pickle rebuilds the error.
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 class Graph:
@@ -184,18 +190,18 @@ def components(g: Graph) -> list[Graph]:
 #
 # Standard bit-packed format: size prefix N(n), then the upper triangle of
 # the adjacency matrix in column order, 6 bits per printable byte (+63).
+# Bit b of the triangle is the pair (u, v), u < v, with b = v(v-1)/2 + u.
 
 _G6_HEADER = b">>graph6<<"
 
+# Largest order emitted: its line is n(n-1)/12 bytes, about 33 MB here.
+MAX_GRAPH6_ORDER = 20_000
 
-def _encode_size(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    if n <= 68719476735:
-        return bytes([126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)])
-    raise ValueError(f"graph too large for graph6: n={n}")
+_G6_INVALID = re.compile(rb"[^?-~]")
+_G6_NONZERO = re.compile(rb"[@-~]")
+_ADD_63 = bytes((b + 63) & 255 for b in range(256))
+# The bits set in a body byte, as offsets 0..5 from its top bit.
+_SET_BITS = [[k for k in range(6) if x > 63 and (x - 63) & 32 >> k] for x in range(127)]
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
@@ -203,54 +209,41 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     if not data:
         raise MalformedGraph6Error("empty graph6 line", 0)
     if data[0] != 126:
-        n = data[0] - 63
-        if n < 0 or data[0] > 126:
+        if not 63 <= data[0] <= 126:
             raise MalformedGraph6Error(f"invalid size byte {data[0]}", 0)
-        return n, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise MalformedGraph6Error("truncated 8-byte size prefix", len(data))
-        chunk = data[2:8]
-        _check_bytes(chunk, 2)
-        n = 0
-        for b in chunk:
-            n = (n << 6) | (b - 63)
-        return n, 8
-    if len(data) < 4:
-        raise MalformedGraph6Error("truncated 4-byte size prefix", len(data))
-    chunk = data[1:4]
-    _check_bytes(chunk, 1)
+        return data[0] - 63, 1
+    # "~" then 3 sextets, or "~~" then 6 sextets.
+    start = 2 if data[1:2] == b"~" else 1
+    end = 4 * start
+    if len(data) < end:
+        raise MalformedGraph6Error(f"truncated {end}-byte size prefix", len(data))
+    _check_bytes(data, start, end)
     n = 0
-    for b in chunk:
+    for b in data[start:end]:
         n = (n << 6) | (b - 63)
-    return n, 4
+    return n, end
 
 
-def _check_bytes(chunk: bytes, start_offset: int) -> None:
-    for i, b in enumerate(chunk):
-        if not (63 <= b <= 126):
-            raise MalformedGraph6Error(f"invalid graph6 byte {b}", start_offset + i)
+def _check_bytes(data: bytes, start: int, end: int) -> None:
+    bad = _G6_INVALID.search(data, start, end)
+    if bad:
+        raise MalformedGraph6Error(f"invalid graph6 byte {data[bad.start()]}", bad.start())
 
 
 def emit_graph6(g: Graph) -> bytes:
-    """Encode adjacency as a graph6 line (no trailing newline)."""
+    """Encode adjacency as a graph6 line (no trailing newline).
+
+    Refuses graphs over ``MAX_GRAPH6_ORDER`` vertices with ``ValueError``."""
     n = g.n
-    out = bytearray(_encode_size(n))
-    bits = 0
-    nbits = 0
-    masks = g.adjacency_masks()
-    for j in range(1, n):
-        col = masks[j]
-        for i in range(j):
-            bits = (bits << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return bytes(out)
+    if n > MAX_GRAPH6_ORDER:
+        raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]  # "~" + 3 sextets
+    prefix = bytes(size).translate(_ADD_63)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        b = v * (v - 1) // 2 + u
+        body[b // 6] |= 32 >> b % 6
+    return prefix + body.translate(_ADD_63)
 
 
 def parse_graph6(line: bytes | str) -> Graph:
@@ -261,29 +254,25 @@ def parse_graph6(line: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     n, at = _decode_size(data)
     nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    body = data[at:]
-    if len(body) < nbytes:
+    end = at + (nbits + 5) // 6
+    if len(data) < end:
         raise MalformedGraph6Error(
-            f"need {nbytes} adjacency bytes for n={n}, got {len(body)}",
-            at + len(body),
+            f"need {end - at} adjacency bytes for n={n}, got {len(data) - at}",
+            len(data),
         )
-    if len(body) > nbytes:
-        raise MalformedGraph6Error("trailing bytes after adjacency data", at + nbytes)
-    _check_bytes(body, at)
+    if len(data) > end:
+        raise MalformedGraph6Error("trailing bytes after adjacency data", end)
+    _check_bytes(data, at, end)
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[bit // 6] - 63
-            if (byte >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
-            bit += 1
-    # Padding bits must be zero per the format.
-    if nbits % 6:
-        last = body[-1] - 63
-        if last & ((1 << (6 - nbits % 6)) - 1):
-            raise MalformedGraph6Error("nonzero padding bits", at + nbytes - 1)
+    for match in _G6_NONZERO.finditer(data, at):
+        i = match.start()
+        base = 6 * (i - at)
+        for k in _SET_BITS[data[i]]:
+            b = base + k
+            if b >= nbits:  # padding bits must be zero per the format
+                raise MalformedGraph6Error("nonzero padding bits", i)
+            v = (1 + isqrt(8 * b + 1)) // 2
+            edges.append((b - v * (v - 1) // 2, v))
     return Graph(n, edges)
 
 

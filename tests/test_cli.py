@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,71 @@ def test_verify_jobs_deterministic(capsys, tmp_path):
     assert runs[0][2]["graphs"] == 5 and runs[0][2]["invalid"] == 1
 
 
+_SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def _start_script(*argv: str, **kwargs) -> subprocess.Popen:
+    """Start the CLI in a fresh interpreter, in its own process group."""
+    return subprocess.Popen([sys.executable, "-m", "matchbounds.cli", *argv], env=_SCRIPT_ENV,
+                            start_new_session=True, **kwargs)
+
+
+def _wait(proc: subprocess.Popen, timeout: float = 60) -> int:
+    """Exit code of ``proc``; fails the test, rather than hanging it, if the
+    run outlives ``timeout``, and then kills its worker processes too."""
+    try:
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        pytest.fail(f"still running after {timeout} s: {proc.args}")
+
+
+def _run_script(tmp_path, *argv: str) -> tuple[int, str, str]:
+    with open(tmp_path / "stdout", "w+") as out, open(tmp_path / "stderr", "w+") as err:
+        code = _wait(_start_script(*argv, stdout=out, stderr=err))
+        out.seek(0)
+        err.seek(0)
+        return code, out.read(), err.read()
+
+
+def test_verify_jobs_stops_at_malformed_line(tmp_path):
+    # The pool's feeder sends the parse error to a worker to re-raise, so
+    # the error must survive pickling or the run never ends.
+    path = tmp_path / "corpus.g6"
+    good = [emit_graph6(generate(FamilySpec("G3", t % 5 + 2))) for t in range(200)]
+    path.write_bytes(b"\n".join([*good, b"Bo!"]) + b"\n")
+    runs = []
+    for jobs in ("1", "2"):
+        manifest = tmp_path / f"manifest{jobs}.json"
+        code, out, err = _run_script(tmp_path, "verify", "--file", str(path), "--jobs", jobs,
+                                     "--manifest", str(manifest))
+        assert code == 2
+        assert json.loads(manifest.read_text())["partial"] is True
+        runs.append((out, err))
+    error = "error: trailing bytes after adjacency data (byte offset 2)\n"
+    assert runs[0][1] == runs[1][1] == error
+    # The chunk being built when the error came is not reported.
+    assert runs[0][0].startswith(runs[1][0])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_exits_quietly(tmp_path, jobs):
+    manifest = tmp_path / "manifest.json"
+    with open(tmp_path / "stderr", "wb+") as err:
+        proc = _start_script("verify", "--enumerate", "8", "--jobs", jobs,
+                             "--manifest", str(manifest), stdout=subprocess.PIPE, stderr=err)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = _wait(proc)
+        err.seek(0)
+        stderr = err.read()
+    assert first.startswith(b"graph=") and code == 141
+    assert b"error:" not in stderr and b"Exception ignored" not in stderr
+    assert json.loads(manifest.read_text())["partial"] is True
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_skips_disconnected_under_flat_constant(capsys, tmp_path, jobs):
     # (0, 0, 2/3) is in P with valid constant 1, but only for connected
@@ -201,14 +267,18 @@ def test_ge_decomposes_once_per_graph(capsys, monkeypatch):
     assert len(calls) == 10
 
 
-def test_cli_module_runs_as_script():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "matchbounds.cli", "polytope", "vertices"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    assert len(proc.stdout.strip().splitlines()) == 13
+def test_verify_encodes_only_printed_graphs(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, emit_graph6, matchbounds.cli)
+    code, out, _ = run(capsys, "verify", "--enumerate", "8", "--bounds", "b4", "--tight-only")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert len(calls) == 2
+
+
+def test_cli_module_runs_as_script(tmp_path):
+    code, out, _ = _run_script(tmp_path, "polytope", "vertices")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 13
 
 
 def test_verify_enumerate_cap(capsys):
@@ -243,6 +313,15 @@ def test_family_invalid_parameter(capsys):
     code, _, err = run(capsys, "family", "G5", "3")
     assert code == 2
     assert "even" in err
+
+
+@pytest.mark.parametrize("argv", [["family", "G3", "6667"],
+                                  ["counterexample", "--triple", "0", "1/2", "51/100", "--k", "1000"]])
+def test_graph6_output_is_capped(capsys, argv):
+    # G3(6667) has 20 001 vertices; the counterexample is G3(100001).
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "graph too large for graph6" in err
 
 
 @pytest.mark.parametrize("family, t", [("G1", "25"), ("G1", "1000000001"), ("G3", "1000000")])
@@ -314,6 +393,7 @@ _PARSE_TIME_REJECTIONS = [
     (["verify", "--file", "X", "--seed", "1"], "argument --seed: requires --random"),
     (["ge", "--file", "X", "--seed", "1"], "argument --seed: requires --random"),
     (["verify", "--enumerate", "3", "--k", "1"], "argument --k: requires --triple"),
+    (["verify", "--random", "1", "--size", "20001"], "argument --size: must be at most 20000"),
 ]
 
 

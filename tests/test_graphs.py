@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import (
+    MAX_GRAPH6_ORDER,
     DegreeProfile,
     Graph,
     MalformedGraph6Error,
@@ -155,8 +159,33 @@ def test_graph6_malformed():
         parse_graph6(b"Bw~~~")  # trailing garbage
     with pytest.raises(MalformedGraph6Error):
         parse_graph6(bytes([66, 30]))  # byte below printable range
-    with pytest.raises(MalformedGraph6Error):
-        parse_graph6(b"By")  # nonzero padding bits
+    for line, message, offset in [
+        (b"D?\x7f", "invalid graph6 byte 127", 2),
+        (b"~?@>Bw", "invalid graph6 byte 62", 3),  # inside a 4-byte size prefix
+        (b"~?A", "truncated 4-byte size prefix", 3),
+        (b"~~??", "truncated 8-byte size prefix", 4),
+        (b"By", "nonzero padding bits", 1),
+    ]:
+        with pytest.raises(MalformedGraph6Error) as exc:
+            parse_graph6(line)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+        assert exc.value.offset == offset
+
+
+def test_graph6_encoding_is_pinned():
+    g = random_subcubic(2000, 0)
+    g6 = emit_graph6(g)
+    assert hashlib.sha256(g6).hexdigest() == (
+        "84409b61967f4a6ba3a3a33a5a7219043f4c2784c0057035363a2cdde4c7725e"
+    )
+    assert parse_graph6(g6) == g
+
+
+def test_graph6_order_is_capped():
+    n = MAX_GRAPH6_ORDER
+    assert len(emit_graph6(Graph(n))) == 4 + (n * (n - 1) // 2 + 5) // 6
+    with pytest.raises(ValueError, match="graph too large for graph6"):
+        emit_graph6(Graph(n + 1))
 
 
 def test_iter_graph6_lines_skips_headers_and_blanks():
@@ -175,6 +204,8 @@ def test_graph6_large_order_prefix():
     data = emit_graph6(g)
     assert data[0] == 126  # long-form size prefix
     assert parse_graph6(data) == g
+    # The format also allows a small order in the 4- and 8-byte forms.
+    assert parse_graph6(b"~??Bw") == parse_graph6(b"~~?????Bw") == parse_graph6(b"Bw")
 
 
 @st.composite

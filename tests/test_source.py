@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import pickle
 from pathlib import Path
+
+from matchbounds.graphs import MalformedGraph6Error
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchbounds"
 
@@ -19,3 +24,29 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Arguments for the exception classes with their own ``__init__``.
+_SAMPLE_ARGS = {MalformedGraph6Error: ("invalid graph6 byte 30", 1)}
+
+
+def test_package_exceptions_survive_pickling():
+    # ``verify --jobs`` ships exceptions between processes; one that cannot
+    # be rebuilt from its pickle kills the worker that receives it.
+    classes = {
+        cls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for _, cls in inspect.getmembers(importlib.import_module(f"matchbounds.{path.stem}"),
+                                         inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__.startswith("matchbounds.")
+    }
+    assert MalformedGraph6Error in classes
+    for cls in classes:
+        if "__init__" in vars(cls):
+            assert cls in _SAMPLE_ARGS, f"no sample arguments for {cls.__name__}"
+        exc = cls(*_SAMPLE_ARGS.get(cls, ("sample message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert getattr(back, "offset", None) == getattr(exc, "offset", None)
