@@ -1,15 +1,22 @@
 """Exact maximum matching: blossom algorithm plus a brute-force oracle.
 
 ``max_matching`` implements Edmonds' blossom contraction and is the
-workhorse; ``brute_force_nu`` is an independent branch-and-bound used to
-cross-validate it.  Both are deterministic: vertices and adjacency are
-always processed in index order.
+workhorse.  One alternating-forest search (``_Forest``) serves
+``max_matching``, ``nu``, ``has_perfect_matching``, ``is_hypomatchable``
+and the Gallai-Edmonds decomposition: grown from one exposed root it
+finds an augmenting path or proves none starts there, and grown from
+every exposed vertex of a maximum matching its even vertices are the
+decomposition's A.  A search costs what it touches, never a pass over
+all n vertices, and a failed search's tree is skipped by all later
+ones.  ``brute_force_nu`` is an independent
+branch-and-bound used to cross-validate it.  Both are deterministic:
+vertices and adjacency are always processed in index order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graphs import Graph
 
@@ -39,6 +46,152 @@ class Matching:
         return len(self.edges)
 
 
+class _Forest:
+    """Edmonds' alternating forest over the mate array ``mate``.
+
+    The state arrays are allocated once and shared by every search. A
+    search lists the vertices it labels, the even ones in ``queue`` (its
+    BFS queue) and the odd ones in ``odd``, so that ``clear`` and
+    ``prune`` cost what the search touched, not n. Each blossom base
+    keeps the list of vertices it stands for (``members``; None means
+    the base alone), so a contraction relabels only the blossoms on the
+    cycle it closes. ``prune`` marks a failed search's tree dead: no
+    augmenting path for this or any later matching of the run passes
+    through a Hungarian tree, so later searches skip it.
+    """
+
+    __slots__ = ("adj", "mate", "parent", "base", "even", "dead",
+                 "members", "mark", "stamp", "queue", "odd")
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...], mate: list[int]):
+        n = len(adj)
+        self.adj = adj
+        self.mate = mate
+        self.parent = [-1] * n
+        self.base = list(range(n))
+        self.even = [False] * n
+        self.dead = [False] * n
+        self.members: list[list[int] | None] = [None] * n
+        self.mark = [0] * n
+        self.stamp = 0
+        self.queue: list[int] = []
+        self.odd: list[int] = []
+
+    def grow(self, roots: Iterable[int]) -> int:
+        """Grow alternating trees from the exposed ``roots`` in BFS order.
+
+        Returns an unlabelled exposed vertex as soon as one is reached: it
+        ends an augmenting path from a root, which ``augment`` applies.
+        Otherwise returns -1 once no edge extends the forest; ``queue``
+        then holds every even vertex, blossoms included.  Raises
+        RuntimeError when an edge joins two trees, which certifies that
+        ``mate`` is not a maximum matching.
+        """
+        adj, mate, parent, base = self.adj, self.mate, self.parent, self.base
+        even, dead, queue, odd = self.even, self.dead, self.queue, self.odd
+        for r in roots:
+            even[r] = True
+            queue.append(r)
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in adj[u]:
+                if dead[v] or mate[u] == v or base[u] == base[v]:
+                    continue
+                if even[v]:
+                    self._contract(u, v)
+                elif parent[v] == -1:
+                    parent[v] = u
+                    odd.append(v)
+                    w = mate[v]
+                    if w == -1:
+                        return v
+                    even[w] = True
+                    queue.append(w)
+        return -1
+
+    def _contract(self, u: int, v: int) -> None:
+        """Shrink the odd cycle closed by the even-even edge (u, v) into the
+        base of its top blossom."""
+        mate, parent, base, mark = self.mate, self.parent, self.base, self.mark
+        self.stamp += 1
+        stamp = self.stamp
+        x = base[u]
+        while True:
+            mark[x] = stamp
+            if mate[x] == -1:
+                break
+            x = base[parent[mate[x]]]
+        top = base[v]
+        while mark[top] != stamp:
+            if mate[top] == -1:
+                raise RuntimeError("matching is not maximum")
+            top = base[parent[mate[top]]]
+        # Re-point the parents along both halves of the cycle, so that an
+        # augmenting path through the blossom can be walked back later.
+        path_bases = []
+        for x, child in ((u, v), (v, u)):
+            while base[x] != top:
+                m = mate[x]
+                path_bases.append(base[x])
+                path_bases.append(base[m])
+                parent[x] = child
+                child = m
+                x = parent[m]
+        even, members, queue = self.even, self.members, self.queue
+        merged = members[top]
+        if merged is None:
+            merged = members[top] = [top]
+        for b in path_bases:
+            if base[b] == top:
+                continue
+            group = members[b]
+            if group is None:
+                group = (b,)
+            else:
+                members[b] = None
+            for x in group:
+                base[x] = top
+                if not even[x]:
+                    even[x] = True
+                    queue.append(x)
+            merged.extend(group)
+
+    def augment(self, v: int) -> None:
+        """Flip the augmenting path that ``grow`` ended at ``v``."""
+        mate, parent = self.mate, self.parent
+        while v != -1:
+            pv = parent[v]
+            ppv = mate[pv]
+            mate[v] = pv
+            mate[pv] = v
+            v = ppv
+
+    def clear(self) -> None:
+        """Unlabel every vertex the last search touched."""
+        parent, base, even, members = self.parent, self.base, self.even, self.members
+        for x in self.queue:
+            base[x] = x
+            even[x] = False
+            members[x] = None
+            parent[x] = -1
+        for x in self.odd:
+            parent[x] = -1
+        self.queue.clear()
+        self.odd.clear()
+
+    def prune(self) -> None:
+        """Mark the tree of the last, failed search dead for good."""
+        dead = self.dead
+        for x in self.queue:
+            dead[x] = True
+        for x in self.odd:
+            dead[x] = True
+        self.queue.clear()
+        self.odd.clear()
+
+
 def _matching_array(g: Graph) -> list[int]:
     """Maximum matching as a mate array (mate[v] == -1 for exposed v)."""
     n = g.n
@@ -54,73 +207,41 @@ def _matching_array(g: Graph) -> list[int]:
                     mate[v] = u
                     break
 
-    parent = [-1] * n
-    base = list(range(n))
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        x = base[a]
-        while True:
-            seen[x] = True
-            if mate[x] == -1:
-                break
-            x = base[parent[mate[x]]]
-        y = base[b]
-        while not seen[y]:
-            y = base[parent[mate[y]]]
-        return y
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    def find_augmenting(root: int) -> int:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if base[u] == base[v] or mate[u] == v:
-                    continue
-                if v == root or (mate[v] != -1 and parent[mate[v]] != -1):
-                    # Even-to-even edge closes an odd cycle: contract it.
-                    cur = lca(u, v)
-                    in_blossom = [False] * n
-                    mark_path(u, cur, v, in_blossom)
-                    mark_path(v, cur, u, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[v] == -1:
-                    parent[v] = u
-                    if mate[v] == -1:
-                        return v
-                    used[mate[v]] = True
-                    queue.append(mate[v])
-        return -1
-
-    for root in range(n):
+    exposed = [u for u in range(n) if mate[u] == -1]
+    # An augmenting path joins two exposed vertices that no search has yet
+    # failed from; ``unsearched`` counts those still exposed.
+    unsearched = len(exposed)
+    if unsearched < 2:
+        return mate
+    forest = _Forest(adj, mate)
+    for root in exposed:
         if mate[root] != -1:
             continue
-        v = find_augmenting(root)
-        while v != -1:
-            pv = parent[v]
-            ppv = mate[pv]
-            mate[v] = pv
-            mate[pv] = v
-            v = ppv
+        unsearched -= 1
+        if unsearched == 0:
+            break
+        v = forest.grow((root,))
+        if v == -1:
+            forest.prune()
+        else:
+            forest.augment(v)
+            forest.clear()
+            unsearched -= 1
     return mate
+
+
+def _even_vertices(g: Graph, mate: list[int]) -> list[int]:
+    """The even vertices, blossoms included, of one alternating forest
+    grown from every exposed vertex of ``mate`` at once.
+
+    On a maximum matching these are exactly the vertices that some
+    maximum matching misses (Lovász & Plummer, *Matching Theory*, ch. 3).
+    Raises RuntimeError when two trees meet: their roots then end an
+    augmenting path, so ``mate`` was not maximum.
+    """
+    forest = _Forest(g._adj, mate)
+    forest.grow([u for u in range(g.n) if mate[u] == -1])
+    return forest.queue
 
 
 def max_matching(g: Graph) -> Matching:

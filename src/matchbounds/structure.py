@@ -1,5 +1,11 @@
-"""Gallai-Edmonds decomposition computed from its definition, plus checks
-of the three structural properties it guarantees.
+"""Gallai-Edmonds decomposition, plus checks of the three structural
+properties it guarantees.
+
+``gallai_edmonds`` reads the decomposition off one Edmonds run: a maximum
+matching, then one alternating forest grown from all its exposed
+vertices.  The definition itself (A holds the vertices whose deletion
+keeps the matching number) is computed only by the n+1-matching oracle
+that ``verify_ge_properties`` checks a decomposition against.
 """
 
 from __future__ import annotations
@@ -7,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _component_vertex_sets
-from .matching import has_perfect_matching, is_hypomatchable, nu
+from .matching import (
+    _even_vertices,
+    _matching_array,
+    has_perfect_matching,
+    is_hypomatchable,
+    nu,
+)
 
 
 class DecompositionMismatchError(ValueError):
@@ -42,11 +54,26 @@ class GEPropertyReport:
 
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
-    """The definitional partition, via n+1 maximum-matching calls."""
+    """The partition from one maximum matching and one alternating forest.
+
+    A is the set of even vertices of the forest grown from every exposed
+    vertex, blossoms included: exactly the vertices some maximum matching
+    misses (Edmonds 1965; Lovász & Plummer, *Matching Theory*, ch. 3).
+    """
+    return _partition(g, frozenset(_even_vertices(g, _matching_array(g))))
+
+
+def _gallai_edmonds_by_definition(g: Graph) -> GEDecomposition:
+    """The definitional partition, via n+1 maximum-matching calls; the
+    oracle for ``verify_ge_properties``."""
     base = nu(g)
-    A = frozenset(
+    return _partition(g, frozenset(
         v for v in range(g.n) if nu(g.without_vertex(v)[0]) == base
-    )
+    ))
+
+
+def _partition(g: Graph, A: frozenset[int]) -> GEDecomposition:
+    """A, its outside neighbours B, and the rest C."""
     B = frozenset(
         u
         for v in A
@@ -118,7 +145,7 @@ def verify_ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
     Raises DecompositionMismatchError when ``d`` is not the definitional
     decomposition of ``g``.
     """
-    expected = gallai_edmonds(g)
+    expected = _gallai_edmonds_by_definition(g)
     if d != expected:
         raise DecompositionMismatchError(
             f"expected A={sorted(expected.A)}, B={sorted(expected.B)}, "

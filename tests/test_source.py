@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pickle
+import sys
 from pathlib import Path
 
 from matchbounds.graphs import MalformedGraph6Error
@@ -23,6 +24,25 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # The runtime depends on nothing outside the standard library.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"matchbounds"}
+            ]
     assert found == []
 
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from matchbounds.graphs import Graph
+import matchbounds.matching
+import matchbounds.structure
+from matchbounds.enumeration import random_subcubic
+from matchbounds.families import FamilySpec, closed_nu, generate
+from matchbounds.graphs import Graph, _component_vertex_sets
+from matchbounds.matching import _even_vertices, max_matching
 from matchbounds.structure import (
     DecompositionMismatchError,
     GEDecomposition,
@@ -58,9 +63,57 @@ def test_mismatch_detection():
 
 
 def test_properties_hold_exhaustively(corpus_by_n):
-    for g in connected_upto(corpus_by_n, 10):
+    # verify_ge_properties also checks the forest's partition against the
+    # n+1-matching definition.
+    sampled = (random_subcubic(11 + seed % 50, seed) for seed in range(300))
+    for g in (*connected_upto(corpus_by_n, 10), *sampled):
         d = gallai_edmonds(g)
         assert verify_ge_properties(g, d).all_true(), g
+
+
+@pytest.mark.parametrize("make, closed", [
+    (lambda: generate(FamilySpec("G3", 2000)), closed_nu(FamilySpec("G3", 2000))),
+    (lambda: generate(FamilySpec("G4", 800)), closed_nu(FamilySpec("G4", 800))),
+    (lambda: random_subcubic(20000, 0), None),
+], ids=["G3(2000)", "G4(800)", "random_subcubic(20000,0)"])
+def test_nu_certified_by_tutte_berge(make, closed):
+    # Any vertex set U bounds 2*nu <= n + |U| - odd(G - U); equality at
+    # U = B certifies the matching as maximum, whatever found B.
+    g = make()
+    size = len(max_matching(g))
+    B = gallai_edmonds(g).B
+    rest, _ = g.induced(set(range(g.n)) - B)
+    odd = sum(len(comp) % 2 for comp in _component_vertex_sets(rest))
+    assert 2 * size == g.n + len(B) - odd
+    if closed is not None:
+        assert size == closed
+
+
+def test_gallai_edmonds_matches_once(monkeypatch):
+    g = generate(FamilySpec("G3", 5))
+    expected = matchbounds.structure._gallai_edmonds_by_definition(g)
+    searches = []
+    search = matchbounds.structure._matching_array
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+
+    def forbidden(g):
+        raise AssertionError("gallai_edmonds called nu")
+
+    monkeypatch.setattr(matchbounds.structure, "_matching_array", counted)
+    monkeypatch.setattr(matchbounds.structure, "nu", forbidden)
+    monkeypatch.setattr(matchbounds.matching, "nu", forbidden)
+    assert gallai_edmonds(g) == expected
+    assert len(searches) == 1
+
+
+def test_forest_rejects_non_maximum_matching():
+    # P4 with only its middle edge matched: the trees of 0 and 3 meet.
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(RuntimeError, match="matching is not maximum"):
+        _even_vertices(p4, [-1, 2, 1, -1])
 
 
 def test_b_vertices_have_degree_at_least_two(corpus_by_n):
