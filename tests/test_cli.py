@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -99,6 +100,35 @@ def test_verify_json_reports(capsys):
     for line in out.strip().splitlines():
         rep = json.loads(line)
         assert set(rep) == {"graph", "bound", "nu", "rhs", "slack", "tight"}
+
+
+# sha256 of stdout, with the exit code and line count, for runs whose output
+# must not change byte for byte: every bound in text and JSON, the tight
+# lines, a violated flat-K triple (negative slacks, exit 1), and `ge`.
+_OUTPUT_PINS = [
+    (["verify", "--enumerate", "9", "--bounds", "all"], 0, 4190,
+     "0136b87aaddca8c21392f67700d34c167e68cb1b66f3263a6449e91670a9fa36"),
+    (["verify", "--enumerate", "9", "--bounds", "all", "--json"], 0, 4190,
+     "410e186778abe95d93349bed3de5f1ec39cff662ca1a1e178dc4db694be77ba6"),
+    (["verify", "--enumerate", "9", "--tight-only"], 0, 27,
+     "890c9f4795f8dc2cd8cf186b3e0052006ba1e0fde41c72038a361f473eadbe6c"),
+    (["verify", "--enumerate", "8", "--triple", "-1", "1", "1", "--k", "1"], 1, 307,
+     "0caedac78d472a053df2b1c8c7a0f31a81c8a23d6a5f56d730c3e2d90ee1964e"),
+    (["ge", "--enumerate", "9"], 0, 838,
+     "9410f2903ba490071fa7b9da2a45fbef244ffb22fafba1841c5aa974a612db49"),
+    (["ge", "--random", "4", "--size", "300", "--seed", "4", "--json"], 0, 4,
+     "00a9c437467ceb791f7e89c4fae3ca6506b02ae472048409adc339895a1ace4c"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, lines, digest", _OUTPUT_PINS,
+                         ids=[" ".join(argv) for argv, *_ in _OUTPUT_PINS])
+def test_output_is_pinned(capsys, argv, exit_code, lines, digest):
+    code, out, _ = run(capsys, *argv)
+    assert (code, len(out.splitlines())) == (exit_code, lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if exit_code:
+        assert " slack=-" in out
 
 
 def test_verify_skip_invalid(capsys, tmp_path):
