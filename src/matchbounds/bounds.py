@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .families import (
@@ -81,33 +82,72 @@ def bound_by_name(name: str) -> BoundSpec:
     raise ValueError(f"unknown bound {name!r} (expected b1..b5)")
 
 
-def evaluate_bounds(g: Graph, specs: Iterable[BoundSpec]) -> list[BoundReport]:
-    """Evaluate several bounds on one graph, one report per spec in order.
+@dataclass(frozen=True)
+class ScaledBounds:
+    """Bound specs as integer forms over one common denominator.
 
-    The degree profile and the matching number are computed once for all
-    of them.  Negative slack is a violation; the report states it and
-    never asserts.  A flat constant K (``per_component=False``) is only
-    claimed for connected graphs, so such a spec on a graph with several
-    components raises ``NotConnectedError``."""
+    ``denominator`` is the LCM D of every coefficient's and constant's
+    denominator (144 for b1..b5).  Each row ``(a3, a2, a1, aK,
+    per_component)`` holds the spec's numbers times D, so a bound's rhs
+    and slack are integers over D and no ``Fraction`` is needed until one
+    is printed."""
+
+    denominator: int
+    rows: tuple[tuple[int, int, int, int, bool], ...]
+
+    @property
+    def flat(self) -> bool:
+        """True iff some row charges a flat K, claimed only when connected."""
+        return not all(row[4] for row in self.rows)
+
+    def values(self, n1: int, n2: int, n3: int, c: int, lhs: int) -> list[tuple[int, int]]:
+        """``(rhs_num, slack_num)`` per row for the degree counts, component
+        count and matching number ``lhs``: rhs = rhs_num/D, slack =
+        slack_num/D."""
+        top = lhs * self.denominator
+        out = []
+        for a3, a2, a1, ak, per_component in self.rows:
+            rhs = a3 * n3 + a2 * n2 + a1 * n1 - (ak * c if per_component else ak)
+            out.append((rhs, top - rhs))
+        return out
+
+
+def scale_bounds(specs: Iterable[BoundSpec]) -> ScaledBounds:
+    """Scale ``specs``, in order, to integers over their common denominator."""
     specs = list(specs)
+    numbers = [(s.triple.x3, s.triple.x2, s.triple.x1, s.k_const) for s in specs]
+    d = lcm(*(x.denominator for row in numbers for x in row))
+    return ScaledBounds(d, tuple(
+        (*(x.numerator * d // x.denominator for x in row), spec.per_component)
+        for row, spec in zip(numbers, specs)
+    ))
+
+
+def evaluate_scaled(g: Graph, scaled: ScaledBounds) -> tuple[int, list[tuple[int, int]]]:
+    """``nu(g)`` and ``scaled.values`` on ``g``, from one degree profile and
+    one matching.  Negative slack is a violation; it is returned, never
+    asserted.  A flat constant K is only claimed for connected graphs, so
+    a flat row on a graph with several components raises
+    ``NotConnectedError``."""
     prof = degree_profile(g)
-    if prof.c > 1 and not all(spec.per_component for spec in specs):
+    if prof.c > 1 and scaled.flat:
         raise NotConnectedError(
             f"a flat constant K requires a connected graph, got {prof.c} components"
         )
     lhs = nu(g)
-    reports = []
-    for spec in specs:
-        tr = spec.triple
-        rhs = (
-            tr.x3 * prof.n3
-            + tr.x2 * prof.n2
-            + tr.x1 * prof.n1
-            - spec.k_const * (prof.c if spec.per_component else 1)
-        )
-        slack = lhs - rhs
-        reports.append(BoundReport(lhs=lhs, rhs=rhs, slack=slack, tight=slack == 0))
-    return reports
+    return lhs, scaled.values(prof.n1, prof.n2, prof.n3, prof.c, lhs)
+
+
+def evaluate_bounds(g: Graph, specs: Iterable[BoundSpec]) -> list[BoundReport]:
+    """Evaluate several bounds on one graph, one report per spec in order;
+    see ``evaluate_scaled``."""
+    scaled = scale_bounds(specs)
+    lhs, values = evaluate_scaled(g, scaled)
+    d = scaled.denominator
+    return [
+        BoundReport(lhs=lhs, rhs=Fraction(rhs, d), slack=Fraction(slack, d), tight=slack == 0)
+        for rhs, slack in values
+    ]
 
 
 def evaluate_bound(g: Graph, spec: BoundSpec) -> BoundReport:
@@ -244,13 +284,22 @@ def order_bounds_check(g: Graph) -> OrderBoundsReport:
     )
 
 
-def report_dict(graph_g6: str, bound: str, report: BoundReport) -> dict:
-    """The stable JSON schema for one evaluated bound."""
+def fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, without building
+    the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def report_dict(graph_g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> dict:
+    """The stable JSON schema for one evaluated bound, from its rhs and
+    slack over the denominator ``den``."""
     return {
         "graph": graph_g6,
         "bound": bound,
-        "nu": report.lhs,
-        "rhs": str(report.rhs),
-        "slack": str(report.slack),
-        "tight": report.tight,
+        "nu": lhs,
+        "rhs": fraction_text(rhs, den),
+        "slack": fraction_text(slack, den),
+        "tight": slack == 0,
     }

@@ -22,15 +22,17 @@ from multiprocessing import Pool
 from typing import Callable, Iterator
 
 from .bounds import (
-    BoundReport,
     BoundSpec,
     NotConnectedError,
+    ScaledBounds,
     TripleInPError,
     bound_by_name,
     valid_constant,
     counterexample,
-    evaluate_bounds,
+    evaluate_scaled,
+    fraction_text,
     report_dict,
+    scale_bounds,
     sharp_bounds,
 )
 from .enumeration import _HARD_MAX_N, EnumerationConfig, enumerate_subcubic, random_subcubic
@@ -74,9 +76,9 @@ class RunManifest:
     partial: bool = False
 
 
-def _approx(x: Fraction) -> str:
+def _approx(x: float) -> str:
     """Display-only 6-place decimal rendering."""
-    return f"{float(x):.6f}"
+    return f"{x:.6f}"
 
 
 def _write_manifest(manifest: RunManifest, path: str | None) -> None:
@@ -172,36 +174,39 @@ def _selected_bounds(args) -> list[BoundSpec]:
     return specs
 
 
-def _report_line(g6: str, bound: str, rep: BoundReport) -> str:
+def _report_line(g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
+    # Int true division is correctly rounded: slack / den == float(Fraction(slack, den)).
     return (
-        f"graph={g6} bound={bound} nu={rep.lhs} "
-        f"rhs={rep.rhs} slack={rep.slack} (~{_approx(rep.slack)}) "
-        f"tight={'yes' if rep.tight else 'no'}"
+        f"graph={g6} bound={bound} nu={lhs} "
+        f"rhs={fraction_text(rhs, den)} slack={fraction_text(slack, den)} "
+        f"(~{_approx(slack / den)}) tight={'yes' if slack == 0 else 'no'}"
     )
 
 
 def _verify_one(
-    g: Graph, *, specs: list[BoundSpec], as_json: bool, tight_only: bool,
+    g: Graph, *, scaled: ScaledBounds, names: list[str], as_json: bool, tight_only: bool,
 ) -> tuple[str, int, int] | str:
-    """Check ``g`` against each spec.
+    """Check ``g`` against each scaled bound, named by ``names``.
 
     Returns its output lines as one text, with the number of violated and
     of tight bounds; or the line to print when the graph is not subcubic,
-    or is disconnected under a flat K.  Graph6 is encoded only for a line
-    that is printed."""
+    or is disconnected under a flat K.  All work is in integers over the
+    common denominator; graph6 is encoded only for a line that is printed."""
     try:
-        reports = evaluate_bounds(g, specs)
+        lhs, values = evaluate_scaled(g, scaled)
     except (NotSubcubicError, NotConnectedError) as exc:
         return f"skipped {emit_graph6(g).decode('ascii')}: {exc}"
-    shown = [(spec, rep) for spec, rep in zip(specs, reports) if rep.tight or not tight_only]
+    shown = [(name, rhs, slack) for name, (rhs, slack) in zip(names, values)
+             if slack == 0 or not tight_only]
     text = emit_graph6(g).decode("ascii") if shown else ""
+    den = scaled.denominator
     lines = [
-        json.dumps(report_dict(text, spec.name, rep)) if as_json
-        else _report_line(text, spec.name, rep)
-        for spec, rep in shown
+        json.dumps(report_dict(text, name, lhs, rhs, slack, den)) if as_json
+        else _report_line(text, name, lhs, rhs, slack, den)
+        for name, rhs, slack in shown
     ]
-    violations = sum(rep.slack < 0 for rep in reports)
-    return "\n".join(lines), violations, sum(rep.tight for rep in reports)
+    violations = sum(slack < 0 for _, slack in values)
+    return "\n".join(lines), violations, sum(slack == 0 for _, slack in values)
 
 
 def cmd_verify(args) -> int:
@@ -212,7 +217,8 @@ def cmd_verify(args) -> int:
         "skip_invalid": args.skip_invalid,
         "jobs": args.jobs,
     }
-    check = partial(_verify_one, specs=specs, as_json=args.json, tight_only=args.tight_only)
+    check = partial(_verify_one, scaled=scale_bounds(specs), names=[s.name for s in specs],
+                    as_json=args.json, tight_only=args.tight_only)
     counted = ("graphs", "violations", "tight", "invalid")
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
@@ -327,7 +333,7 @@ def cmd_counterexample(args) -> int:
     else:
         print(
             f"family={spec.family_id} t={spec.t} n={g.n} graph6={g6} "
-            f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} (~{_approx(rep.slack)})"
+            f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} (~{_approx(float(rep.slack))})"
         )
     return EXIT_VIOLATIONS
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, is_connected
 
 
 class TooLargeError(ValueError):
@@ -319,12 +319,14 @@ def is_hypomatchable(g: Graph) -> bool:
     """True iff deleting any single vertex leaves a perfect matching.
 
     Also called factor-critical.  Requires odd order; the empty graph is
-    not hypomatchable.
+    not hypomatchable.  A disconnected graph of odd order never is:
+    deleting a vertex outside one of its odd components leaves that one
+    unmatched.  A connected graph is factor-critical iff every vertex is
+    missed by some maximum matching (Gallai's lemma; Lovász & Plummer,
+    *Matching Theory*, ch. 3), that is, iff one alternating forest grown
+    from the exposed vertices of a maximum matching makes every vertex
+    even.
     """
-    if g.n % 2 == 0 or g.n == 0:
+    if g.n % 2 == 0 or not is_connected(g):
         return False
-    for v in range(g.n):
-        rest, _ = g.without_vertex(v)
-        if not has_perfect_matching(rest):
-            return False
-    return True
+    return len(_even_vertices(g, _matching_array(g))) == g.n

@@ -93,50 +93,43 @@ def _a_component_sets(g: Graph, A: frozenset[int]) -> list[list[int]]:
     ]
 
 
-def _bipartite_saturates_left(left_adj: list[list[int]], right_size: int) -> bool:
-    """Kuhn's augmenting-path matching; True iff every left node is matched."""
-    match_right = [-1] * right_size
-
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        for r in left_adj[u]:
-            if not visited[r]:
-                visited[r] = True
-                if match_right[r] == -1 or try_augment(match_right[r], visited):
-                    match_right[r] = u
-                    return True
-        return False
-
-    for u in range(len(left_adj)):
-        if not try_augment(u, [False] * right_size):
-            return False
-    return True
-
-
 def _has_neighborhood_surplus(g: Graph, B: frozenset[int], a_comps: list[list[int]]) -> bool:
     """True iff every nonempty X within B touches more than |X| components
     of the A-side subgraph.
 
-    Equivalent, by Hall's theorem, to: for each b in B the incidence graph
-    between B plus a duplicate of b and the components admits a matching
-    saturating the whole left side.  Exact and polynomial, no subset
-    enumeration.
+    By Hall's theorem that holds iff, for each b in B, B plus a second copy
+    of b can be matched into the components.  Given one matching M of B
+    into them, the copy of b has an augmenting path iff an M-alternating
+    path from a component M leaves free reaches a component next to b, and
+    then it reaches b as well.  So the answer is one maximum matching of
+    the incidence graph and one breadth-first search back from the free
+    components, entering B by non-matching edges and leaving it by
+    matching edges: True iff M saturates B and the search reaches every
+    b.  Exact, and with no subset enumeration.
     """
     if not B:
         return True
-    comp_of = {}
-    for idx, comp in enumerate(a_comps):
-        for v in comp:
-            comp_of[v] = idx
-    b_list = sorted(B)
-    adj = [
-        sorted({comp_of[w] for w in g.neighbors(b) if w in comp_of})
-        for b in b_list
-    ]
-    k = len(a_comps)
-    for i in range(len(b_list)):
-        if not _bipartite_saturates_left(adj + [adj[i]], k):
-            return False
-    return True
+    comp_of = {v: idx for idx, comp in enumerate(a_comps) for v in comp}
+    nb = len(B)
+    # Node i is the i-th vertex of B, node nb + c the c-th component.
+    incidence = Graph(nb + len(a_comps), [
+        (i, nb + comp_of[w])
+        for i, b in enumerate(sorted(B))
+        for w in g.neighbors(b)
+        if w in comp_of
+    ])
+    mate = _matching_array(incidence)
+    if -1 in mate[:nb]:
+        return False
+    reached = [False] * nb
+    queue = [c for c in range(nb, incidence.n) if mate[c] == -1]
+    for c in queue:
+        # Only the matching edge of a matched c leads to a b already reached.
+        for i in incidence.neighbors(c):
+            if not reached[i]:
+                reached[i] = True
+                queue.append(mate[i])
+    return all(reached)
 
 
 def verify_ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:

@@ -9,6 +9,8 @@ import os
 import pytest
 
 from matchbounds.enumeration import EnumerationConfig, enumerate_subcubic
+from matchbounds.graphs import degree_profile
+from matchbounds.matching import nu
 
 _criterion_lines: list[str] = []
 
@@ -46,6 +48,22 @@ def sweep_corpus_by_n(corpus_by_n) -> dict[int, list]:
     for g in enumerate_subcubic(EnumerationConfig(max_n=max_n)):
         buckets.setdefault(g.n, []).append(g)
     return buckets
+
+
+@pytest.fixture(scope="session")
+def profile_rows(sweep_corpus_by_n) -> dict[tuple[int, int, int, int], tuple[int, int]]:
+    """The sweep corpus grouped by degree profile ``(n1, n2, n3, c)``: per
+    profile the least nu and the number of classes.  A bound's slack
+    grows with nu, so its least slack on a profile is its slack at the
+    least nu."""
+    rows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for g in connected_upto(sweep_corpus_by_n, max(sweep_corpus_by_n)):
+        prof = degree_profile(g)
+        key = (prof.n1, prof.n2, prof.n3, prof.c)
+        value = nu(g)
+        least, count = rows.get(key, (value, 0))
+        rows[key] = (min(least, value), count + 1)
+    return rows
 
 
 def connected_upto(corpus: dict[int, list], max_n: int):

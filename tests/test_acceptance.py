@@ -10,13 +10,15 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import pytest
+
 from matchbounds.bounds import (
     BoundSpec,
     valid_constant,
     counterexample,
     counterexample_slacks,
     evaluate_bound,
-    evaluate_bounds,
+    scale_bounds,
     sharp_bounds,
 )
 from matchbounds.cli import main as cli_main
@@ -32,7 +34,7 @@ from matchbounds.families import (
     generate,
 )
 from matchbounds.graphs import Graph, degree_profile
-from matchbounds.matching import brute_force_nu, max_matching, nu
+from matchbounds.matching import brute_force_nu, max_matching
 from matchbounds.polytope import (
     CoefficientTriple,
     contains,
@@ -81,14 +83,19 @@ def test_criterion_01_extreme_point_recovery(capsys):
     assert ok
 
 
-def test_criterion_02_bound_sweep(sweep_corpus_by_n):
-    specs = sharp_bounds()
+def _least_slacks(profile_rows, specs) -> list[list[int]]:
+    """Per spec, its scaled slack on each profile row at the row's least nu."""
+    scaled = scale_bounds(specs)
+    per_row = [scaled.values(*key, least) for key, (least, _) in profile_rows.items()]
+    return [[values[i][1] for values in per_row] for i in range(len(specs))]
+
+
+def test_criterion_02_bound_sweep(sweep_corpus_by_n, profile_rows):
+    # A violation is counted once per degree profile and bound.
     max_n = max(sweep_corpus_by_n)
-    graphs_checked = 0
-    violations = 0
-    for g in connected_upto(sweep_corpus_by_n, max_n):
-        graphs_checked += 1
-        violations += sum(rep.slack < 0 for rep in evaluate_bounds(g, specs))
+    graphs_checked = sum(count for _, count in profile_rows.values())
+    violations = sum(s < 0 for slacks in _least_slacks(profile_rows, sharp_bounds())
+                     for s in slacks)
     ok = violations == 0
     record_criterion(
         2, ok,
@@ -256,18 +263,17 @@ def test_criterion_07_decomposition_suite(corpus_by_n):
     assert ok
 
 
-def test_criterion_08_unit_constant_for_nonnegative_extremes(sweep_corpus_by_n):
+def _extreme_point_specs(k) -> list[BoundSpec]:
     points = sorted(THIRTEEN_EXTREME_POINTS, key=lambda v: v.as_tuple())
+    return [BoundSpec(triple=pt, k_const=F(k), per_component=False) for pt in points]
+
+
+def test_criterion_08_unit_constant_for_nonnegative_extremes(sweep_corpus_by_n, profile_rows):
+    # A failure is counted once per degree profile and extreme point.
     max_n = max(sweep_corpus_by_n)
-    checked = 0
-    failures = 0
-    for g in connected_upto(sweep_corpus_by_n, max_n):
-        prof = degree_profile(g)
-        value = nu(g)
-        for pt in points:
-            if value < pt.x3 * prof.n3 + pt.x2 * prof.n2 + pt.x1 * prof.n1 - 1:
-                failures += 1
-        checked += 1
+    checked = sum(count for _, count in profile_rows.values())
+    failures = sum(s < 0 for slacks in _least_slacks(profile_rows, _extreme_point_specs(1))
+                   for s in slacks)
     negative_pt = triple(-1, 0, "5/3")
     constant = valid_constant(negative_pt)
     rep = evaluate_bound(
@@ -280,6 +286,39 @@ def test_criterion_08_unit_constant_for_nonnegative_extremes(sweep_corpus_by_n):
         f"graphs (n<={max_n}); the negative-coefficient constant 3 is sharp on the claw",
     )
     assert ok
+
+
+# The smallest K with nu >= x3*n3 + x2*n2 + x1*n1 - K on every class with
+# n <= 12, the maximum over degree profiles of x.p - nu: b1..b5 with the
+# number of profiles that attain it, and each of the 13 extreme points.
+SHARP_CONSTANTS_N12 = [(F(1, 2), 20), (F(1), 4), (F(1, 2), 5), (F(1, 8), 2), (F(1, 9), 8)]
+EXTREME_POINT_CONSTANTS_N12 = {
+    triple("0", "1/2", "1/2"): F(1, 2), triple("0", "1/3", "2/3"): F(1),
+    triple("1/4", "1/2", "1/4"): F(1, 2), triple("7/16", "3/8", "3/16"): F(1, 8),
+    triple("4/9", "1/3", "2/9"): F(1, 9), triple("1/4", "1/2", "0"): F(1, 2),
+    triple("7/16", "3/8", "0"): F(1, 8), triple("0", "1/2", "0"): F(1, 2),
+    triple("4/9", "0", "0"): F(0), triple("0", "0", "0"): F(0),
+    triple("4/9", "1/3", "0"): F(1, 9), triple("0", "0", "2/3"): F(1),
+    triple("4/9", "0", "2/9"): F(1, 9),
+}
+
+
+def test_sharp_constants_on_the_sweep(sweep_corpus_by_n, profile_rows):
+    if max(sweep_corpus_by_n) < 12:
+        pytest.skip("the constants are pinned for the full n <= 12 sweep")
+    assert len(profile_rows) == 168
+
+    def least_constants(specs):
+        d = scale_bounds(specs).denominator
+        return [(F(-min(slacks), d), slacks.count(min(slacks)))
+                for slacks in _least_slacks(profile_rows, specs)]
+
+    sharp = [BoundSpec(triple=s.triple, k_const=F(0), per_component=True)
+             for s in sharp_bounds()]
+    assert least_constants(sharp) == SHARP_CONSTANTS_N12
+    points = _extreme_point_specs(0)
+    assert {spec.triple: k for spec, (k, _) in zip(points, least_constants(points))} \
+        == EXTREME_POINT_CONSTANTS_N12
 
 
 def test_criterion_09_matcher_oracle_agreement(corpus_by_n):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchbounds.bounds import (
+    BoundReport,
     BoundSpec,
     NotConnectedError,
     TripleInPError,
@@ -20,7 +21,10 @@ from matchbounds.bounds import (
     counterexample_slacks,
     evaluate_bound,
     evaluate_bounds,
+    evaluate_scaled,
+    fraction_text,
     report_dict,
+    scale_bounds,
     order_bounds_check,
     sharp_bounds,
 )
@@ -31,7 +35,7 @@ from matchbounds.families import (
     family_order,
     generate,
 )
-from matchbounds.graphs import Graph, NotSubcubicError, emit_graph6
+from matchbounds.graphs import Graph, NotSubcubicError, degree_profile, emit_graph6
 from matchbounds.matching import brute_force_nu, nu
 from matchbounds.polytope import (
     CoefficientTriple,
@@ -111,6 +115,36 @@ def test_per_component_constant():
     with pytest.raises(NotConnectedError):
         evaluate_bounds(two_triangles, [bound_by_name("b4"), flat])
     assert evaluate_bounds(TRIANGLE, [flat])[0].slack == 2
+
+
+def test_sharp_bounds_scale_to_denominator_144():
+    scaled = scale_bounds(sharp_bounds())
+    assert scaled.denominator == 144
+    assert scaled.rows[3] == (63, 54, 27, 18, True)  # b4: 7/16, 3/8, 3/16, 1/8
+    assert not scaled.flat
+
+
+def test_scaled_evaluation_equals_fraction_arithmetic(corpus_by_n):
+    # The integer core against the bound's definition in Fraction arithmetic,
+    # with a negative coefficient and a flat K among the specs.
+    specs = [*sharp_bounds(),
+             BoundSpec(triple=triple(-1, "5/7", "2/3"), k_const=F(3, 11), per_component=False)]
+    for g in connected_upto(corpus_by_n, 8):
+        prof = degree_profile(g)
+        value = nu(g)
+        for spec, rep in zip(specs, evaluate_bounds(g, specs)):
+            x = spec.triple
+            rhs = x.x3 * prof.n3 + x.x2 * prof.n2 + x.x1 * prof.n1 - spec.k_const
+            assert rep == BoundReport(lhs=value, rhs=rhs, slack=value - rhs,
+                                      tight=value == rhs), (g, spec)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+@settings(max_examples=300, deadline=None)
+def test_scaled_numbers_print_as_their_fraction(num, den):
+    assert fraction_text(num, den) == str(F(num, den))
+    # Int true division is correctly rounded: the decimal the CLI shows.
+    assert num / den == float(F(num, den))
 
 
 def test_bounds_hold_on_small_corpus(corpus_by_n):
@@ -282,8 +316,10 @@ def test_order_bounds_check():
 
 
 def test_report_schema():
-    rep = evaluate_bound(TRIANGLE, bound_by_name("b4"))
-    payload = report_dict(emit_graph6(TRIANGLE).decode(), "b4", rep)
+    scaled = scale_bounds([bound_by_name("b4")])
+    lhs, [(rhs, slack)] = evaluate_scaled(TRIANGLE, scaled)
+    payload = report_dict(emit_graph6(TRIANGLE).decode(), "b4", lhs, rhs, slack,
+                          scaled.denominator)
     assert payload == {
         "graph": "Bw",
         "bound": "b4",

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,6 @@ def test_polytope_vertices(capsys):
 
 
 def _fraction_sort_key(line):
-    from fractions import Fraction
     return tuple(Fraction(p) for p in line.split(","))
 
 
@@ -286,6 +286,24 @@ def test_verify_computes_nu_once_per_graph(capsys, monkeypatch):
     assert code == 0
     assert json.loads(err.strip().splitlines()[-1])["counts"]["graphs"] == 20
     assert len(calls) == 20
+
+
+def test_verify_builds_no_fraction_per_graph(capsys, monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    counts = []
+    for max_n in ("6", "8"):
+        built.clear()
+        code, out, _ = run(capsys, "verify", "--enumerate", max_n, "--bounds", "all")
+        assert code == 0 and " slack=1/2 " in out
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_ge_decomposes_once_per_graph(capsys, monkeypatch):

@@ -3,6 +3,9 @@ guaranteed properties."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 import matchbounds.matching
@@ -10,10 +13,17 @@ import matchbounds.structure
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, closed_nu, generate
 from matchbounds.graphs import Graph, _component_vertex_sets
-from matchbounds.matching import _even_vertices, max_matching
+from matchbounds.matching import (
+    _even_vertices,
+    has_perfect_matching,
+    is_hypomatchable,
+    max_matching,
+)
 from matchbounds.structure import (
     DecompositionMismatchError,
     GEDecomposition,
+    _a_component_sets,
+    _has_neighborhood_surplus,
     gallai_edmonds,
     verify_ge_properties,
 )
@@ -69,6 +79,64 @@ def test_properties_hold_exhaustively(corpus_by_n):
     for g in (*connected_upto(corpus_by_n, 10), *sampled):
         d = gallai_edmonds(g)
         assert verify_ge_properties(g, d).all_true(), g
+
+
+def _hypomatchable_by_definition(g: Graph) -> bool:
+    """Factor-critical by definition: odd order, and deleting any one vertex
+    leaves a perfect matching."""
+    return g.n % 2 == 1 and all(
+        has_perfect_matching(g.without_vertex(v)[0]) for v in range(g.n)
+    )
+
+
+def _surplus_by_definition(g: Graph, B, a_comps) -> bool:
+    """Hall's condition |N(X)| > |X| one b at a time: B plus a copy of b
+    must match into the components, by one Kuhn pass per b."""
+    comp_of = {v: idx for idx, comp in enumerate(a_comps) for v in comp}
+    adj = [sorted({comp_of[w] for w in g.neighbors(b) if w in comp_of}) for b in sorted(B)]
+
+    def saturates(left_adj):
+        match_right = [-1] * len(a_comps)
+
+        def try_augment(u, visited):
+            for r in left_adj[u]:
+                if not visited[r]:
+                    visited[r] = True
+                    if match_right[r] == -1 or try_augment(match_right[r], visited):
+                        match_right[r] = u
+                        return True
+            return False
+
+        return all(try_augment(u, [False] * len(a_comps)) for u in range(len(left_adj)))
+
+    return all(saturates(adj + [adj[i]]) for i in range(len(adj)))
+
+
+def test_ge_property_checks_match_their_definitions(corpus_by_n):
+    # Gallai's-lemma hypomatchability and the one-search surplus test
+    # against their definitions: on each graph and a vertex-deleted copy
+    # (often disconnected), on the decomposition, and on seeded random
+    # splits into an A side and a B set, where the surplus often fails.
+    sampled = (random_subcubic(11 + seed % 50, seed) for seed in range(300))
+    rng = random.Random(7)
+    verdicts = Counter()
+    for g in (*connected_upto(corpus_by_n, 10), *sampled):
+        for h in (g, g.without_vertex(0)[0]):
+            hypo = is_hypomatchable(h)
+            assert hypo == _hypomatchable_by_definition(h), h
+            verdicts["hypomatchable", hypo] += 1
+        d = gallai_edmonds(g)
+        splits = [(d.A, d.B)]
+        for _ in range(3):
+            side = [rng.randrange(3) for _ in range(g.n)]
+            splits.append(({v for v in range(g.n) if side[v] == 0},
+                           frozenset(v for v in range(g.n) if side[v] == 1)))
+        for A, B in splits:
+            a_comps = _a_component_sets(g, A)
+            surplus = _has_neighborhood_surplus(g, B, a_comps)
+            assert surplus == _surplus_by_definition(g, B, a_comps), (g, A, B)
+            verdicts["surplus", surplus] += 1
+    assert min(verdicts.values()) > 100 and len(verdicts) == 4, verdicts
 
 
 @pytest.mark.parametrize("make, closed", [
