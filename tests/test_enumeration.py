@@ -36,6 +36,11 @@ TREE_COUNTS = {
 # sha256 of the graph6 stream of every class with n <= 10, one per line:
 # any change of labels or order has to be deliberate.
 STREAM_SHA256_N10 = "930f627d002bb97435e5466692969bb664f7e8ca7f0a9a4072e09ce2f6c38429"
+# sha256 of the graph6 lines of one whole level, for the orders past 10.
+LEVEL_SHA256 = {
+    11: "70304d81aa77ac2d5a283d90bf65ce93dc715eac3b88cd8a8c4f7a86dfa807b7",
+    12: "16b2dfba425dbf95b860756a8a84c3096688db5f1f9d6f15e343d14ab3aa886a",
+}
 # sha256 of the graph6 lines of random_subcubic(n, seed) for these draws:
 # the sampler's output per (n, seed) is a contract too.
 SAMPLER_DRAWS = ((1, 0), (7, 3), (16, 1), (40, 11), (800, 0), (800, 1))
@@ -165,11 +170,21 @@ def test_tree_subfamily_matches_literature(sweep_corpus_by_n):
     assert trees == _swept(TREE_COUNTS, sweep_corpus_by_n)
 
 
-def test_stream_is_pinned():
-    stream = b"".join(
-        emit_graph6(g) + b"\n" for g in enumerate_subcubic(EnumerationConfig(max_n=10))
+def _graph6_sha256(graphs) -> str:
+    return hashlib.sha256(b"".join(emit_graph6(g) + b"\n" for g in graphs)).hexdigest()
+
+
+def test_stream_is_pinned(corpus_by_n):
+    assert _graph6_sha256(g for n in sorted(corpus_by_n) for g in corpus_by_n[n]) == (
+        STREAM_SHA256_N10
     )
-    assert hashlib.sha256(stream).hexdigest() == STREAM_SHA256_N10
+
+
+@pytest.mark.parametrize("n", sorted(LEVEL_SHA256))
+def test_level_is_pinned(n, sweep_corpus_by_n):
+    if n not in sweep_corpus_by_n:
+        pytest.skip(f"the sweep stops below n = {n}")
+    assert _graph6_sha256(sweep_corpus_by_n[n]) == LEVEL_SHA256[n]
 
 
 @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
