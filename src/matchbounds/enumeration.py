@@ -27,13 +27,27 @@ canonical orbit.  A child is kept only if x lies in that orbit.
   the two children differ by one of its automorphisms.  A key dictionary
   per parent removes those; no dictionary spans a level.
 
-Most children fail on the cheap tests (a removable vertex in a later
-class, or with a smaller neighbor sum) before any search.  Survivors get
-one search, which yields both the key and the relabelling; only when
-other removable vertices tie with x is orbit membership tested, by
-individualising x and the last tied vertex and comparing their codes.
-Graphs are handled as adjacency-mask tuples; a ``Graph`` is built once
-per kept class, when its level is yielded.
+Most children fail on cheap tests before any search.  Classes are ordered
+by degree first, so a removable vertex of smaller degree than x puts x
+outside the latest class and rejects the child.  Each test is an exact
+consequence of the rule above, so the kept set and labels do not depend
+on them.
+
+* Degree rule, before a child is built.  Let x join k vertices.  A
+  vertex removable in the parent stays removable in the child if x has
+  another neighbor: deleting it leaves the connected rest of the parent
+  with x attached.  So every removable parent vertex of degree < k must
+  be joined, and reach degree k by it; other joins are never built.  For
+  k = 2 every leaf of the parent is joined; for k = 3 the parent has no
+  leaf and every removable vertex of degree 2 is joined.
+* Then a removable vertex in a later class than x, or in x's class with
+  a smaller neighbor sum, rejects the child.
+
+Survivors get one search, which yields both the key and the relabelling;
+only when other removable vertices tie with x is orbit membership
+tested, by individualising x and the last tied vertex and comparing
+their codes.  Graphs are handled as adjacency-mask tuples; a ``Graph``
+is built once per kept class, when its level is yielded.
 """
 
 from __future__ import annotations
@@ -206,7 +220,7 @@ def _relabelled(masks, order: tuple[int, ...]) -> tuple[int, ...]:
 
 def _graph(masks: tuple[int, ...]) -> Graph:
     n = len(masks)
-    return Graph(n, ((u, v) for v in range(n) for u in range(v) if masks[v] >> u & 1))
+    return Graph(n, ((u, v) for v in range(n) for u in _bits(masks[v] & ((1 << v) - 1))))
 
 
 def _removable(masks, v: int) -> bool:
@@ -236,7 +250,7 @@ def _individualised_code(masks, cls: list[int], v: int) -> tuple[int, ...]:
 
 
 def _canonical_child(masks: list[int]):
-    """(canonical key, canonical masks) of a child whose new vertex x is
+    """(canonical key, canonical order) of a child whose new vertex x is
     the last one, or None unless x lies in the canonical orbit.
 
     The canonical orbit holds, among the removable vertices with the
@@ -265,20 +279,44 @@ def _canonical_child(masks: list[int]):
             masks, cls, last
         ):
             return None
-    return _key(inv, top, code), _relabelled(masks, order)
+    return _key(inv, top, code), order
 
 
 def _children(parent: tuple[int, ...]) -> Iterator[list[int]]:
-    """All ways to join one new vertex to 1..3 vertices of degree < 3."""
+    """The ways to join one new vertex to k = 1..3 vertices of degree < 3
+    that the degree rule allows: the join holds every vertex of degree < k
+    that is removable in the parent, and each of those has degree >= k - 1."""
     x = len(parent)
     spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
-    for size in (1, 2, 3):
-        for joined in combinations(spots, size):
+    removable = [v for v in spots if _removable(parent, v)]
+    for k in (1, 2, 3):
+        must = tuple(v for v in removable if parent[v].bit_count() < k)
+        if len(must) > k or any(parent[v].bit_count() < k - 1 for v in must):
+            continue
+        free = [v for v in spots if v not in must]
+        for rest in combinations(free, k - len(must)):
+            joined = must + rest
             masks = list(parent)
             for v in joined:
                 masks[v] |= 1 << x
             masks.append(sum(1 << v for v in joined))
             yield masks
+
+
+def _kept_children(parent: tuple[int, ...]) -> dict:
+    """Canonical masks of the kept children of one parent, by key.
+
+    Isomorphic kept children of one parent differ by one of its
+    automorphisms, and no other parent can produce them, so a key seen
+    before needs no relabelling.
+    """
+    found: dict = {}
+    for masks in _children(parent):
+        kept = _canonical_child(masks)
+        if kept is not None and kept[0] not in found:
+            key, order = kept
+            found[key] = _relabelled(masks, order)
+    return found
 
 
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
@@ -289,15 +327,7 @@ def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     for _ in range(2, max_n + 1):
         level = []
         for parent in parents:
-            # Isomorphic kept children of one parent differ by one of its
-            # automorphisms; no other parent can produce them.
-            found: dict = {}
-            for masks in _children(parent):
-                kept = _canonical_child(masks)
-                if kept is not None:
-                    key, canonical = kept
-                    found.setdefault(key, canonical)
-            level.extend(found.items())
+            level.extend(_kept_children(parent).items())
         level.sort(key=itemgetter(0))
         parents = [masks for _, masks in level]
         yield [_graph(masks) for masks in parents]
