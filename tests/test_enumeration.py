@@ -149,7 +149,8 @@ def _unpruned_kept(parent) -> dict:
             code_of = enumeration._individualised_code
             if last != x and code_of(masks, cls, x) != code_of(masks, cls, last):
                 continue
-            found.setdefault(enumeration._key(inv, top, code), enumeration._relabelled(masks, order))
+            key = enumeration._key(inv, top, code)
+            found.setdefault(key, enumeration._relabelled(masks, order))
     return found
 
 
@@ -243,9 +244,8 @@ def _graph6_sha256(graphs) -> str:
 
 
 def test_stream_is_pinned(corpus_by_n):
-    assert _graph6_sha256(g for n in sorted(corpus_by_n) for g in corpus_by_n[n]) == (
-        STREAM_SHA256_N10
-    )
+    stream = (g for n in sorted(corpus_by_n) for g in corpus_by_n[n])
+    assert _graph6_sha256(stream) == STREAM_SHA256_N10
 
 
 @pytest.mark.parametrize("n", sorted(LEVEL_SHA256))
