@@ -5,6 +5,7 @@ the characterizing polyhedron.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -292,14 +293,13 @@ def fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def report_dict(graph_g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> dict:
+def report_json(graph_g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
     """The stable JSON schema for one evaluated bound, from its rhs and
-    slack over the denominator ``den``."""
-    return {
-        "graph": graph_g6,
-        "bound": bound,
-        "nu": lhs,
-        "rhs": fraction_text(rhs, den),
-        "slack": fraction_text(slack, den),
-        "tight": slack == 0,
-    }
+    slack over the denominator ``den``: the text of ``json.dumps`` of the
+    object with keys graph, bound, nu, rhs, slack, tight.  Only the two
+    strings from outside need escaping; a fraction's text never does."""
+    return (
+        f'{{"graph": {json.dumps(graph_g6)}, "bound": {json.dumps(bound)}, "nu": {lhs}, '
+        f'"rhs": "{fraction_text(rhs, den)}", "slack": "{fraction_text(slack, den)}", '
+        f'"tight": {"true" if slack == 0 else "false"}}}'
+    )

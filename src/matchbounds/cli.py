@@ -31,7 +31,7 @@ from .bounds import (
     counterexample,
     evaluate_scaled,
     fraction_text,
-    report_dict,
+    report_json,
     scale_bounds,
     sharp_bounds,
 )
@@ -201,7 +201,7 @@ def _verify_one(
     text = emit_graph6(g).decode("ascii") if shown else ""
     den = scaled.denominator
     lines = [
-        json.dumps(report_dict(text, name, lhs, rhs, slack, den)) if as_json
+        report_json(text, name, lhs, rhs, slack, den) if as_json
         else _report_line(text, name, lhs, rhs, slack, den)
         for name, rhs, slack in shown
     ]

@@ -219,8 +219,8 @@ def _relabelled(masks, order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _graph(masks: tuple[int, ...]) -> Graph:
-    n = len(masks)
-    return Graph(n, ((u, v) for v in range(n) for u in _bits(masks[v] & ((1 << v) - 1))))
+    # ``_bits`` lists a mask's bits lowest first, so each tuple is sorted.
+    return Graph._from_adjacency(tuple(tuple(_bits(m)) for m in masks))
 
 
 def _removable(masks, v: int) -> bool:
@@ -322,7 +322,7 @@ def _kept_children(parent: tuple[int, ...]) -> dict:
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     """Connected subcubic graphs grouped by vertex count, canonical labels,
     each level sorted by canonical key."""
-    yield [Graph(1)]
+    yield [_graph((0,))]
     parents: list[tuple[int, ...]] = [(0,)]
     for _ in range(2, max_n + 1):
         level = []

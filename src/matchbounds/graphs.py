@@ -31,11 +31,15 @@ class MalformedGraph6Error(ValueError):
 class Graph:
     """Undirected simple graph: no loops, no parallel edges.
 
-    Instances are immutable after construction; all derived data (adjacency
-    lists, degrees) is precomputed, so concurrent shared use is safe.
+    The one stored form is the adjacency tuple ``_adj``: per vertex, its
+    neighbours as a sorted tuple.  ``edges`` and everything else is read
+    off it.  ``Graph(n, edges)`` validates and normalises its input; the
+    trusted ``_from_adjacency`` takes an adjacency tuple as it is, for the
+    decoders that produce one already sorted.  Instances are immutable
+    after construction, so concurrent shared use is safe.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,10 +56,26 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = frozenset(norm)
         self._adj = tuple(tuple(sorted(nb)) for nb in adj)
 
+    @classmethod
+    def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph with adjacency tuple ``adj``, taken without checks.
+
+        Precondition: each ``adj[v]`` is a sorted tuple of distinct
+        vertices in ``range(len(adj))`` other than v, and u is in
+        ``adj[v]`` exactly when v is in ``adj[u]``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "_adj", adj)
+        return g
+
     # -- basic queries -------------------------------------------------
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v."""
+        return frozenset((u, v) for u, nb in enumerate(self._adj) for v in nb if u < v)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -68,11 +88,7 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent)."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
+        return [sum(1 << u for u in nb) for nb in self._adj]
 
     # -- derived graphs ------------------------------------------------
 
@@ -81,7 +97,7 @@ class Graph:
         old = sorted(set(keep))
         pos = {o: i for i, o in enumerate(old)}
         edges = [
-            (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
+            (pos[u], pos[v]) for u in old for v in self._adj[u] if u < v and v in pos
         ]
         return Graph(len(old), edges), tuple(old)
 
@@ -91,22 +107,20 @@ class Graph:
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Image under the vertex permutation ``perm`` (old index -> new)."""
         p = list(perm)
-        return Graph(self.n, ((p[u], p[v]) for u, v in self.edges))
+        return Graph(
+            self.n, ((p[u], p[v]) for u, nb in enumerate(self._adj) for v in nb if u < v)
+        )
 
     # -- value semantics -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._adj)) // 2})"
 
     def __setattr__(self, name, value):
         if hasattr(self, "_adj"):
@@ -114,7 +128,7 @@ class Graph:
         object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return (Graph, (self.n, tuple(self.edges)))
+        return (Graph._from_adjacency, (self._adj,))
 
 
 @dataclass(frozen=True)
@@ -138,17 +152,30 @@ def is_subcubic(g: Graph) -> bool:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Exact degree counts and component count; rejects non-subcubic input."""
+    """Exact degree counts and component count, from one search over the
+    adjacency; rejects non-subcubic input, naming its least vertex of
+    degree > 3."""
+    adj = g._adj
     counts = [0, 0, 0, 0]
-    for v in range(g.n):
-        d = g.degree(v)
-        if d > 3:
-            raise NotSubcubicError(f"vertex {v} has degree {d} > 3")
-        counts[d] += 1
-    return DegreeProfile(
-        n0=counts[0], n1=counts[1], n2=counts[2], n3=counts[3],
-        c=component_count(g),
-    )
+    seen = [False] * g.n
+    c = 0
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        c += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            nb = adj[stack.pop()]
+            if len(nb) > 3:
+                v = next(v for v, nb in enumerate(adj) if len(nb) > 3)
+                raise NotSubcubicError(f"vertex {v} has degree {len(adj[v])} > 3")
+            counts[len(nb)] += 1
+            for w in nb:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return DegreeProfile(n0=counts[0], n1=counts[1], n2=counts[2], n3=counts[3], c=c)
 
 
 def _component_vertex_sets(g: Graph) -> list[list[int]]:
@@ -240,9 +267,13 @@ def emit_graph6(g: Graph) -> bytes:
     size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]  # "~" + 3 sextets
     prefix = bytes(size).translate(_ADD_63)
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for u, v in g.edges:
-        b = v * (v - 1) // 2 + u
-        body[b // 6] |= 32 >> b % 6
+    for v, nb in enumerate(g._adj):
+        col = v * (v - 1) // 2
+        for u in nb:
+            if u >= v:
+                break
+            b = col + u
+            body[b // 6] |= 32 >> b % 6
     return prefix + body.translate(_ADD_63)
 
 
@@ -263,7 +294,9 @@ def parse_graph6(line: bytes | str) -> Graph:
     if len(data) > end:
         raise MalformedGraph6Error("trailing bytes after adjacency data", end)
     _check_bytes(data, at, end)
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # Bits come in column order, v ascending and u ascending within v, so
+    # each list gets its u < v in order and then its w > v in order.
     for match in _G6_NONZERO.finditer(data, at):
         i = match.start()
         base = 6 * (i - at)
@@ -272,8 +305,10 @@ def parse_graph6(line: bytes | str) -> Graph:
             if b >= nbits:  # padding bits must be zero per the format
                 raise MalformedGraph6Error("nonzero padding bits", i)
             v = (1 + isqrt(8 * b + 1)) // 2
-            edges.append((b - v * (v - 1) // 2, v))
-    return Graph(n, edges)
+            u = b - v * (v - 1) // 2
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph._from_adjacency(tuple(map(tuple, adj)))
 
 
 def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[Graph]:

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from matchbounds import enumeration
 from matchbounds.enumeration import EnumerationConfig, enumerate_subcubic
 from matchbounds.graphs import degree_profile
 from matchbounds.matching import nu
@@ -38,16 +39,43 @@ def corpus_by_n() -> dict[int, list]:
 
 
 @pytest.fixture(scope="session")
-def sweep_corpus_by_n(corpus_by_n) -> dict[int, list]:
+def sweep_generation(corpus_by_n) -> tuple[dict[int, list], dict[str, int] | None]:
     """Corpus for the big acceptance sweeps: n <= 12 by default, shrunk by
-    MATCHBOUNDS_SWEEP_MAX_N for quicker development runs."""
+    MATCHBOUNDS_SWEEP_MAX_N for quicker development runs.  With it, the
+    generation work to n <= 11, counted while the corpus is generated:
+    children built and canonical searches run, or None when the sweep
+    stops below 11."""
     max_n = min(12, max(1, int(os.environ.get("MATCHBOUNDS_SWEEP_MAX_N", "12"))))
     if max_n <= 10:
-        return {n: gs for n, gs in corpus_by_n.items() if n <= max_n}
+        return {n: gs for n, gs in corpus_by_n.items() if n <= max_n}, None
+    counts = {"children": 0, "searches": 0}
+    children, search = enumeration._children, enumeration._canonical_order
+
+    def counted_children(parent):
+        for masks in children(parent):
+            counts["children"] += 1
+            yield masks
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
     buckets: dict[int, list] = {}
-    for g in enumerate_subcubic(EnumerationConfig(max_n=max_n)):
-        buckets.setdefault(g.n, []).append(g)
-    return buckets
+    work = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_children", counted_children)
+        mp.setattr(enumeration, "_canonical_order", counted_search)
+        for g in enumerate_subcubic(EnumerationConfig(max_n=max_n)):
+            if g.n == 11 and work is None:
+                work = dict(counts)  # levels come whole: n = 11 is built, n = 12 not begun
+            buckets.setdefault(g.n, []).append(g)
+    return buckets, work
+
+
+@pytest.fixture(scope="session")
+def sweep_corpus_by_n(sweep_generation) -> dict[int, list]:
+    """The sweep corpus of ``sweep_generation``, keyed by order."""
+    return sweep_generation[0]
 
 
 @pytest.fixture(scope="session")

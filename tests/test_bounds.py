@@ -3,6 +3,7 @@ counterexamples."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from matchbounds.bounds import (
     evaluate_bounds,
     evaluate_scaled,
     fraction_text,
-    report_dict,
+    report_json,
     scale_bounds,
     order_bounds_check,
     sharp_bounds,
@@ -318,9 +319,9 @@ def test_order_bounds_check():
 def test_report_schema():
     scaled = scale_bounds([bound_by_name("b4")])
     lhs, [(rhs, slack)] = evaluate_scaled(TRIANGLE, scaled)
-    payload = report_dict(emit_graph6(TRIANGLE).decode(), "b4", lhs, rhs, slack,
-                          scaled.denominator)
-    assert payload == {
+    line = report_json(emit_graph6(TRIANGLE).decode(), "b4", lhs, rhs, slack,
+                       scaled.denominator)
+    payload = {
         "graph": "Bw",
         "bound": "b4",
         "nu": 1,
@@ -328,3 +329,28 @@ def test_report_schema():
         "slack": "0",
         "tight": True,
     }
+    assert json.loads(line) == payload
+    assert line == json.dumps(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(st.characters(min_codepoint=63, max_codepoint=126), min_size=1, max_size=12)
+    | st.just("Es\\o"),
+    st.sampled_from(["b1", "b2", "b3", "b4", "b5", "custom"]),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=-500, max_value=500),
+    st.integers(min_value=-500, max_value=500),
+)
+def test_report_json_is_json_dumps_of_the_schema(g6, bound, lhs, rhs, slack):
+    # A graph6 line may hold a backslash (the n = 6 class Es\o does), which
+    # JSON must escape.
+    line = report_json(g6, bound, lhs, rhs, slack, 144)
+    assert line == json.dumps({
+        "graph": g6,
+        "bound": bound,
+        "nu": lhs,
+        "rhs": str(Fraction(rhs, 144)),
+        "slack": str(Fraction(slack, 144)),
+        "tight": slack == 0,
+    })

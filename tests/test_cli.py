@@ -17,6 +17,7 @@ import matchbounds.bounds
 import matchbounds.cli
 import matchbounds.structure
 from matchbounds.cli import main
+from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import Graph, emit_graph6
 
@@ -304,6 +305,28 @@ def test_verify_builds_no_fraction_per_graph(capsys, monkeypatch):
         assert code == 0 and " slack=1/2 " in out
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_verify_validates_no_graph(capsys, monkeypatch, tmp_path):
+    # graph6 lines and enumerated classes become Graphs through the trusted
+    # constructor; the validating Graph.__init__ is for other input.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"".join(
+        emit_graph6(random_subcubic(13 + seed % 28, seed)) + b"\n" for seed in range(40)
+    ))
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    for argv in (("--enumerate", "8", "--bounds", "all", "--json"),
+                 ("--file", str(corpus), "--bounds", "all")):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and out
+    assert built == []
 
 
 def test_ge_decomposes_once_per_graph(capsys, monkeypatch):

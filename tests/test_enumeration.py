@@ -163,26 +163,15 @@ def test_pruned_children_match_the_unpruned_rule(corpus_by_n):
             assert enumeration._kept_children(parent) == _unpruned_kept(parent), g.edges
 
 
-def test_generation_work_is_pinned(monkeypatch):
+def test_generation_work_is_pinned(sweep_generation):
     # Children built and canonical searches run to n <= 11: a lost filter
     # shows here without a timing test.  Without the degree rule 71923
     # children are built.
-    counts = {"children": 0, "searches": 0}
-    children, search = enumeration._children, enumeration._canonical_order
-
-    def counted_children(parent):
-        for masks in children(parent):
-            counts["children"] += 1
-            yield masks
-
-    def counted_search(*args):
-        counts["searches"] += 1
-        return search(*args)
-
-    monkeypatch.setattr(enumeration, "_children", counted_children)
-    monkeypatch.setattr(enumeration, "_canonical_order", counted_search)
-    assert sum(1 for _ in enumerate_subcubic(EnumerationConfig(max_n=11))) == 8095
-    assert counts == {"children": 20778, "searches": 14747}
+    corpus, work = sweep_generation
+    if work is None:
+        pytest.skip("the sweep stops below n = 11 (MATCHBOUNDS_SWEEP_MAX_N)")
+    assert work == {"children": 20778, "searches": 14747}
+    assert sum(len(corpus[n]) for n in range(1, 12)) == 8095
 
 
 def test_tiny_streams():

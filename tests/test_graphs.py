@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchbounds import enumeration
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import (
@@ -206,6 +208,32 @@ def test_graph6_large_order_prefix():
     assert parse_graph6(data) == g
     # The format also allows a small order in the 4- and 8-byte forms.
     assert parse_graph6(b"~??Bw") == parse_graph6(b"~~?????Bw") == parse_graph6(b"Bw")
+
+
+def _assert_same_graph(h, ref):
+    assert h.n == ref.n and h.edges == ref.edges
+    assert all(h.neighbors(v) == ref.neighbors(v) for v in range(ref.n))
+    assert h == ref and hash(h) == hash(ref)
+
+
+def test_trusted_constructions_equal_validated_ones(corpus_by_n):
+    # parse_graph6, the enumerator's _graph and unpickling skip the checks
+    # of Graph(n, edges); each must build exactly the graph it would.
+    graphs = list(connected_upto(corpus_by_n, 10))
+    graphs += [random_subcubic(1 + seed * 799 // 299, seed) for seed in range(300)]
+    for g in graphs:
+        ref = Graph(g.n, sorted(g.edges))
+        for h in (
+            parse_graph6(emit_graph6(g)),
+            enumeration._graph(tuple(g.adjacency_masks())),
+            pickle.loads(pickle.dumps(g)),
+        ):
+            _assert_same_graph(h, ref)
+    path = Graph(100, [(i, i + 1) for i in range(99)])
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    long_prefix = ((emit_graph6(path), path), (b"~??Bw", triangle), (b"~~?????Bw", triangle))
+    for line, ref in long_prefix:
+        _assert_same_graph(parse_graph6(line), ref)
 
 
 @st.composite
