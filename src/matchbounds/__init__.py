@@ -8,13 +8,11 @@ from .bounds import (
     BoundReport,
     BoundSpec,
     NotConnectedError,
-    OrderBoundsReport,
     TripleInPError,
     valid_constant,
     counterexample,
     evaluate_bound,
     evaluate_bounds,
-    order_bounds_check,
     sharp_bounds,
 )
 from .enumeration import (
@@ -37,7 +35,6 @@ from .graphs import (
     Graph,
     MalformedGraph6Error,
     NotSubcubicError,
-    components,
     degree_profile,
     emit_graph6,
     is_connected,
@@ -62,7 +59,6 @@ from .polytope import (
     Polyhedron,
     UnboundedInputError,
     contains,
-    maximal_vertices,
     parse_fraction,
     polyhedron_P,
     polyhedron_P_plus,

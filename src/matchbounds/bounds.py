@@ -5,13 +5,13 @@ the characterizing polyhedron.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
 from .families import (
+    _T_START_STEP,
     FamilySpec,
     admissible_t,
     closed_nu,
@@ -192,8 +192,7 @@ def _smallest_violating_t(family_id: str, triple: CoefficientTriple, k: Fraction
     constraint, so exponential search plus bisection over the admissible
     arithmetic progression is exact.
     """
-    start = next(iter(admissible_t(family_id)))
-    step = 1 if family_id in ("G3", "G4") else 2
+    start, step = _T_START_STEP[family_id]
 
     def slack_at(j: int) -> Fraction:
         return closed_form_slack(FamilySpec(family_id, start + step * j), triple, k)
@@ -253,38 +252,6 @@ def counterexample(
     return spec, g, BoundReport(lhs=lhs, rhs=rhs, slack=slack, tight=False)
 
 
-@dataclass(frozen=True)
-class OrderBoundsReport:
-    """Order-only bounds: nu >= (n-1)/3 always, nu >= 4(n-1)/9 when cubic."""
-
-    n: int
-    nu: int
-    general_rhs: Fraction
-    general_ok: bool
-    is_cubic: bool
-    cubic_rhs: Fraction | None
-    cubic_ok: bool | None
-
-
-def order_bounds_check(g: Graph) -> OrderBoundsReport:
-    prof = degree_profile(g)  # raises NotSubcubicError on bad degrees
-    if prof.c > 1:
-        raise NotConnectedError("bound requires a connected graph")
-    value = nu(g)
-    general_rhs = Fraction(g.n - 1, 3)
-    cubic = prof.n3 == g.n and g.n > 0
-    cubic_rhs = Fraction(4 * (g.n - 1), 9) if cubic else None
-    return OrderBoundsReport(
-        n=g.n,
-        nu=value,
-        general_rhs=general_rhs,
-        general_ok=value >= general_rhs,
-        is_cubic=cubic,
-        cubic_rhs=cubic_rhs,
-        cubic_ok=(value >= cubic_rhs) if cubic else None,
-    )
-
-
 def fraction_text(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for a positive ``den``, without building
     the Fraction."""
@@ -293,13 +260,16 @@ def fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def report_json(graph_g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
+def report_json(graph_json: str, bound_json: str, lhs: int, rhs: int, slack: int,
+                den: int) -> str:
     """The stable JSON schema for one evaluated bound, from its rhs and
     slack over the denominator ``den``: the text of ``json.dumps`` of the
-    object with keys graph, bound, nu, rhs, slack, tight.  Only the two
-    strings from outside need escaping; a fraction's text never does."""
+    object with keys graph, bound, nu, rhs, slack, tight.  The graph6 text
+    and the bound name come already escaped, as ``json.dumps`` of each, so
+    a caller escapes each once however many lines repeat it; a fraction's
+    text never needs escaping."""
     return (
-        f'{{"graph": {json.dumps(graph_g6)}, "bound": {json.dumps(bound)}, "nu": {lhs}, '
+        f'{{"graph": {graph_json}, "bound": {bound_json}, "nu": {lhs}, '
         f'"rhs": "{fraction_text(rhs, den)}", "slack": "{fraction_text(slack, den)}", '
         f'"tight": {"true" if slack == 0 else "false"}}}'
     )

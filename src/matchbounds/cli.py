@@ -186,12 +186,14 @@ def _report_line(g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) 
 def _verify_one(
     g: Graph, *, scaled: ScaledBounds, names: list[str], as_json: bool, tight_only: bool,
 ) -> tuple[str, int, int] | str:
-    """Check ``g`` against each scaled bound, named by ``names``.
+    """Check ``g`` against each scaled bound, named by ``names`` (under
+    ``as_json``, names already JSON-escaped).
 
     Returns its output lines as one text, with the number of violated and
     of tight bounds; or the line to print when the graph is not subcubic,
     or is disconnected under a flat K.  All work is in integers over the
-    common denominator; graph6 is encoded only for a line that is printed."""
+    common denominator; graph6 is encoded, and escaped, once per graph
+    and only when a line is printed."""
     try:
         lhs, values = evaluate_scaled(g, scaled)
     except (NotSubcubicError, NotConnectedError) as exc:
@@ -199,12 +201,11 @@ def _verify_one(
     shown = [(name, rhs, slack) for name, (rhs, slack) in zip(names, values)
              if slack == 0 or not tight_only]
     text = emit_graph6(g).decode("ascii") if shown else ""
+    report = _report_line
+    if as_json and shown:
+        text, report = json.dumps(text), report_json
     den = scaled.denominator
-    lines = [
-        report_json(text, name, lhs, rhs, slack, den) if as_json
-        else _report_line(text, name, lhs, rhs, slack, den)
-        for name, rhs, slack in shown
-    ]
+    lines = [report(text, name, lhs, rhs, slack, den) for name, rhs, slack in shown]
     violations = sum(slack < 0 for _, slack in values)
     return "\n".join(lines), violations, sum(slack == 0 for _, slack in values)
 
@@ -217,7 +218,8 @@ def cmd_verify(args) -> int:
         "skip_invalid": args.skip_invalid,
         "jobs": args.jobs,
     }
-    check = partial(_verify_one, scaled=scale_bounds(specs), names=[s.name for s in specs],
+    names = [json.dumps(s.name) if args.json else s.name for s in specs]
+    check = partial(_verify_one, scaled=scale_bounds(specs), names=names,
                     as_json=args.json, tight_only=args.tight_only)
     counted = ("graphs", "violations", "tight", "invalid")
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:

@@ -10,11 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
 
 from .graphs import DegreeProfile, Graph
 
-FAMILY_IDS = ("G1", "G2", "G3", "G4", "G5", "G6")
+# The admissible parameters of each family: t = start, start + step, ...
+_T_START_STEP = {
+    "G1": (1, 2),
+    "G2": (1, 2),
+    "G3": (2, 1),
+    "G4": (2, 1),
+    "G5": (4, 2),
+    "G6": (3, 2),
+}
+
+FAMILY_IDS = tuple(_T_START_STEP)
 
 # The closed forms describe a member at any t, but ``generate`` refuses to
 # build one with more vertices than this.
@@ -25,6 +36,12 @@ class InvalidParameterError(ValueError):
     """Family parameter violates its parity or range constraint."""
 
 
+def _start_step(family_id: str) -> tuple[int, int]:
+    if family_id not in FAMILY_IDS:
+        raise InvalidParameterError(f"unknown family {family_id!r}")
+    return _T_START_STEP[family_id]
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family member: which family, and the size parameter t."""
@@ -33,41 +50,17 @@ class FamilySpec:
     t: int
 
     def __post_init__(self):
-        if self.family_id not in FAMILY_IDS:
-            raise InvalidParameterError(f"unknown family {self.family_id!r}")
-        t = self.t
-        fid = self.family_id
-        if fid in ("G1", "G2") and (t < 1 or t % 2 == 0):
-            raise InvalidParameterError(f"{fid} requires odd t >= 1, got {t}")
-        if fid in ("G3", "G4") and t < 2:
-            raise InvalidParameterError(f"{fid} requires t >= 2, got {t}")
-        if fid == "G5" and (t < 4 or t % 2 == 1):
-            raise InvalidParameterError(f"G5 requires even t >= 4, got {t}")
-        if fid == "G6" and (t < 3 or t % 2 == 0):
-            raise InvalidParameterError(f"G6 requires odd t >= 3, got {t}")
+        start, step = _start_step(self.family_id)
+        if self.t < start or (self.t - start) % step:
+            parity = "" if step == 1 else "odd " if start % 2 else "even "
+            raise InvalidParameterError(
+                f"{self.family_id} requires {parity}t >= {start}, got {self.t}"
+            )
 
 
 def admissible_t(family_id: str) -> Iterator[int]:
     """The admissible parameter values of a family, ascending."""
-    if family_id in ("G1", "G2"):
-        t = 1
-    elif family_id in ("G3", "G4"):
-        yield from _count_from(2, 1)
-        return
-    elif family_id == "G5":
-        t = 4
-    elif family_id == "G6":
-        t = 3
-    else:
-        raise InvalidParameterError(f"unknown family {family_id!r}")
-    yield from _count_from(t, 2)
-
-
-def _count_from(start: int, step: int) -> Iterator[int]:
-    t = start
-    while True:
-        yield t
-        t += step
+    return count(*_start_step(family_id))
 
 
 def _cubic_tree_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:
@@ -184,15 +177,7 @@ def closed_nu(spec: FamilySpec) -> int:
 
 def family_order(spec: FamilySpec) -> int:
     """Vertex count by closed form."""
-    t = spec.t
-    return {
-        "G1": 3 * 2 ** (t + 1) - 2,
-        "G2": 9 * 2 ** (t + 1) - 2,
-        "G3": 3 * t,
-        "G4": 7 * t,
-        "G5": t + 3 * t // 2,
-        "G6": t,
-    }[spec.family_id]
+    return closed_profile(spec).order
 
 
 def profile_dot(spec: FamilySpec, x3: Fraction, x2: Fraction, x1: Fraction) -> Fraction:

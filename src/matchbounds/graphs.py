@@ -83,9 +83,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self._adj)
-
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent)."""
         return [sum(1 << u for u in nb) for nb in self._adj]
@@ -103,13 +100,6 @@ class Graph:
 
     def without_vertex(self, v: int) -> tuple["Graph", tuple[int, ...]]:
         return self.induced(u for u in range(self.n) if u != v)
-
-    def relabel(self, perm: Iterable[int]) -> "Graph":
-        """Image under the vertex permutation ``perm`` (old index -> new)."""
-        p = list(perm)
-        return Graph(
-            self.n, ((p[u], p[v]) for u, nb in enumerate(self._adj) for v in nb if u < v)
-        )
 
     # -- value semantics -----------------------------------------------
 
@@ -199,18 +189,8 @@ def _component_vertex_sets(g: Graph) -> list[list[int]]:
     return out
 
 
-def component_count(g: Graph) -> int:
-    return len(_component_vertex_sets(g))
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or component_count(g) == 1
-
-
-def components(g: Graph) -> list[Graph]:
-    """Connected components as reindexed graphs, ordered by smallest
-    original vertex index."""
-    return [g.induced(comp)[0] for comp in _component_vertex_sets(g)]
+    return g.n <= 1 or len(_component_vertex_sets(g)) == 1
 
 
 # -- graph6 ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class UnboundedInputError(ValueError):
@@ -99,33 +99,30 @@ class Membership:
     violated: tuple[int, ...]
 
 
-def _f(v) -> Fraction:
-    return Fraction(v)
-
-
 def polyhedron_P() -> Polyhedron:
     """The six half-spaces characterizing valid coefficient triples,
     in canonical order."""
     rows = [
-        (1, 0, 0, _f("4/9"), "x3<=4/9"),
-        (0, 1, 0, _f("1/2"), "x2<=1/2"),
-        (1, 0, 1, _f("2/3"), "x3+x1<=2/3"),
-        (1, _f("3/2"), 0, 1, "x3+3x2/2<=1"),
+        (1, 0, 0, "4/9", "x3<=4/9"),
+        (0, 1, 0, "1/2", "x2<=1/2"),
+        (1, 0, 1, "2/3", "x3+x1<=2/3"),
+        (1, "3/2", 0, 1, "x3+3x2/2<=1"),
         (1, 1, 1, 1, "x3+x2+x1<=1"),
-        (1, _f("1/6"), 0, _f("1/2"), "x3+x2/6<=1/2"),
+        (1, "1/6", 0, "1/2", "x3+x2/6<=1/2"),
     ]
     return Polyhedron(tuple(
-        HalfSpace(_f(a3), _f(a2), _f(a1), b, label)
+        HalfSpace(Fraction(a3), Fraction(a2), Fraction(a1), Fraction(b), label)
         for a3, a2, a1, b, label in rows
     ))
 
 
 def polyhedron_P_plus() -> Polyhedron:
     """The coefficient polyhedron restricted to the nonnegative orthant."""
+    one, zero = Fraction(1), Fraction(0)
     nonneg = (
-        HalfSpace(_f(-1), _f(0), _f(0), _f(0), "x3>=0"),
-        HalfSpace(_f(0), _f(-1), _f(0), _f(0), "x2>=0"),
-        HalfSpace(_f(0), _f(0), _f(-1), _f(0), "x1>=0"),
+        HalfSpace(-one, zero, zero, zero, "x3>=0"),
+        HalfSpace(zero, -one, zero, zero, "x2>=0"),
+        HalfSpace(zero, zero, -one, zero, "x1>=0"),
     )
     return Polyhedron(polyhedron_P().halfspaces + nonneg)
 
@@ -216,21 +213,6 @@ def vertices(p: Polyhedron) -> frozenset[CoefficientTriple]:
                     f"feasible ray at vertex {x} along {h1.label} & {h2.label}"
                 )
     return frozenset(found.values())
-
-
-def maximal_vertices(
-    vs: Iterable[CoefficientTriple],
-) -> frozenset[CoefficientTriple]:
-    """The subset not coordinatewise dominated by another element."""
-    pts = list(vs)
-
-    def dominated(v: CoefficientTriple) -> bool:
-        return any(
-            u != v and u.x3 >= v.x3 and u.x2 >= v.x2 and u.x1 >= v.x1
-            for u in pts
-        )
-
-    return frozenset(v for v in pts if not dominated(v))
 
 
 def shift_transform(x: CoefficientTriple, lam: Fraction) -> CoefficientTriple:

@@ -10,7 +10,7 @@ import pytest
 
 from matchbounds import enumeration
 from matchbounds.enumeration import EnumerationConfig, enumerate_subcubic
-from matchbounds.graphs import degree_profile
+from matchbounds.graphs import Graph, degree_profile
 from matchbounds.matching import nu
 
 _criterion_lines: list[str] = []
@@ -97,3 +97,9 @@ def profile_rows(sweep_corpus_by_n) -> dict[tuple[int, int, int, int], tuple[int
 def connected_upto(corpus: dict[int, list], max_n: int):
     for n in range(1, max_n + 1):
         yield from corpus.get(n, [])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of ``g`` under the vertex permutation ``perm`` (old index -> new)."""
+    p = list(perm)
+    return Graph(g.n, ((p[u], p[v]) for u, v in g.edges))

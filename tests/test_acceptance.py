@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, one
 printed pass/fail line each (see conftest terminal summary).
 
-The exhaustive bound sweep covers n <= 12 by default (about a minute of
-generation); set MATCHBOUNDS_SWEEP_MAX_N=10 for quicker iteration.
+The exhaustive bound sweep covers n <= 12 by default (its setup, the
+generation and the profile rows, takes about 11 s); set
+MATCHBOUNDS_SWEEP_MAX_N=10 for quicker iteration.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from matchbounds.bounds import (
     fraction_text,
     report_json,
     scale_bounds,
-    order_bounds_check,
     sharp_bounds,
 )
 from matchbounds.families import (
@@ -304,23 +303,11 @@ def test_counterexample_slack_decreases():
     assert all(s < 0 for s in values)
 
 
-def test_order_bounds_check():
-    rep = order_bounds_check(K4)
-    assert rep.is_cubic and rep.cubic_rhs == F(4, 3) and rep.cubic_ok
-    rep = order_bounds_check(K13)
-    assert rep.general_rhs == 1 and rep.general_ok and not rep.is_cubic
-    rep = order_bounds_check(C5)
-    assert rep.nu == 2 and rep.general_ok
-    disconnected = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(NotConnectedError):
-        order_bounds_check(disconnected)
-
-
 def test_report_schema():
     scaled = scale_bounds([bound_by_name("b4")])
     lhs, [(rhs, slack)] = evaluate_scaled(TRIANGLE, scaled)
-    line = report_json(emit_graph6(TRIANGLE).decode(), "b4", lhs, rhs, slack,
-                       scaled.denominator)
+    line = report_json(json.dumps(emit_graph6(TRIANGLE).decode()), json.dumps("b4"), lhs, rhs,
+                       slack, scaled.denominator)
     payload = {
         "graph": "Bw",
         "bound": "b4",
@@ -345,7 +332,7 @@ def test_report_schema():
 def test_report_json_is_json_dumps_of_the_schema(g6, bound, lhs, rhs, slack):
     # A graph6 line may hold a backslash (the n = 6 class Es\o does), which
     # JSON must escape.
-    line = report_json(g6, bound, lhs, rhs, slack, 144)
+    line = report_json(json.dumps(g6), json.dumps(bound), lhs, rhs, slack, 144)
     assert line == json.dumps({
         "graph": g6,
         "bound": bound,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_g1_smallest_member():
     g = generate(FamilySpec("G1", 1))
     assert g.n == 10
     assert g.degree(0) == 3
-    assert sorted(g.degrees()).count(1) == 6  # six leaves under three children
+    assert degree_profile(g).n1 == 6  # six leaves under three children
 
 
 def test_g6_smallest_is_triangle():
@@ -91,14 +92,31 @@ def test_internally_cubic_tree_families_are_bipartite():
 
 
 def test_parameter_gates():
-    for fid, bad_t in (
-        ("G1", 2), ("G1", 0), ("G2", 4), ("G3", 1), ("G4", 0),
-        ("G5", 3), ("G5", 2), ("G6", 4), ("G6", 1),
-    ):
-        with pytest.raises(InvalidParameterError):
+    for (fid, bad_t), message in {
+        ("G1", 2): "G1 requires odd t >= 1, got 2",
+        ("G1", 0): "G1 requires odd t >= 1, got 0",
+        ("G2", 4): "G2 requires odd t >= 1, got 4",
+        ("G3", 1): "G3 requires t >= 2, got 1",
+        ("G4", 0): "G4 requires t >= 2, got 0",
+        ("G5", 3): "G5 requires even t >= 4, got 3",
+        ("G5", 2): "G5 requires even t >= 4, got 2",
+        ("G6", 4): "G6 requires odd t >= 3, got 4",
+        ("G6", 1): "G6 requires odd t >= 3, got 1",
+        ("G7", 1): "unknown family 'G7'",
+    }.items():
+        with pytest.raises(InvalidParameterError) as excinfo:
             FamilySpec(fid, bad_t)
-    with pytest.raises(InvalidParameterError):
-        FamilySpec("G7", 1)
+        assert str(excinfo.value) == message
+    # The gate and the admissible sequence agree.
+    for fid in FAMILY_IDS:
+        admissible = set(takewhile(lambda t: t <= 20, admissible_t(fid)))
+        for t in range(21):
+            try:
+                FamilySpec(fid, t)
+            except InvalidParameterError:
+                assert t not in admissible, (fid, t)
+            else:
+                assert t in admissible, (fid, t)
 
 
 def test_constraint_to_family_mapping():

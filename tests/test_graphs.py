@@ -18,14 +18,15 @@ from matchbounds.graphs import (
     Graph,
     MalformedGraph6Error,
     NotSubcubicError,
-    components,
+    _component_vertex_sets,
     degree_profile,
     emit_graph6,
+    is_connected,
     is_subcubic,
     parse_graph6,
 )
 
-from .conftest import connected_upto
+from .conftest import connected_upto, relabel
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 K5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -107,18 +108,17 @@ def test_profile_counts_sum_to_order(corpus_by_n):
 
 def test_components():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    comps = components(two_triangles)
-    assert len(comps) == 2
-    assert all(c.n == 3 and len(c.edges) == 3 for c in comps)
-    assert components(C5) == [C5]
-    assert components(Graph(0)) == []
+    assert _component_vertex_sets(two_triangles) == [[0, 1, 2], [3, 4, 5]]
+    assert _component_vertex_sets(C5) == [[0, 1, 2, 3, 4]]
+    assert _component_vertex_sets(Graph(0)) == []
+    assert is_connected(C5) and is_connected(Graph(1)) and is_connected(Graph(0))
+    assert not is_connected(two_triangles)
 
 
 def test_components_ordered_by_smallest_original_index():
     # Triangle on {0,1,2} comes before the edge on {4,5}; vertex 3 isolated.
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])
-    comps = components(g)
-    assert [c.n for c in comps] == [3, 1, 2]
+    assert _component_vertex_sets(g) == [[0, 1, 2], [3], [4, 5]]
 
 
 def test_spanning_tree_degree_surplus(corpus_by_n):
@@ -257,4 +257,4 @@ def test_profile_invariant_under_relabeling(g, rnd):
         return
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    assert degree_profile(g.relabel(perm)) == degree_profile(g)
+    assert degree_profile(relabel(g, perm)) == degree_profile(g)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchbounds.bounds import sharp_bounds
 from matchbounds.polytope import (
     CoefficientTriple,
     HalfSpace,
@@ -17,7 +18,6 @@ from matchbounds.polytope import (
     Polyhedron,
     UnboundedInputError,
     contains,
-    maximal_vertices,
     parse_fraction,
     polyhedron_P,
     polyhedron_P_plus,
@@ -45,14 +45,6 @@ EXTREME_POINTS = {
     triple("4/9", "0", "2/9"),
 }
 
-MAXIMAL_POINTS = {
-    triple("0", "1/2", "1/2"),
-    triple("0", "1/3", "2/3"),
-    triple("1/4", "1/2", "1/4"),
-    triple("7/16", "3/8", "3/16"),
-    triple("4/9", "1/3", "2/9"),
-}
-
 
 def test_polyhedron_has_six_constraints():
     p = polyhedron_P()
@@ -66,6 +58,8 @@ def test_polyhedron_has_six_constraints():
         (1, 1, 1, 1),
         (1, F(1, 6), 0, F(1, 2)),
     ]
+    # Every stored number is exact, the int-valued ones included.
+    assert all(type(x) is Fraction for row in coeffs for x in row)
 
 
 def test_membership_examples():
@@ -108,11 +102,15 @@ def test_unbounded_polyhedron_is_rejected():
 
 
 def test_maximal_vertices():
-    assert maximal_vertices(EXTREME_POINTS) == frozenset(MAXIMAL_POINTS)
-    origin = triple(0, 0, 0)
-    assert maximal_vertices({origin}) == frozenset({origin})
-    a, b = triple(1, 0, 0), triple(0, 1, 0)
-    assert maximal_vertices({a, b}) == frozenset({a, b})
+    # The extreme points that no other one dominates coordinatewise are
+    # exactly the coefficients of the five sharp bounds b1..b5.
+    points = vertices(polyhedron_P_plus())
+
+    def dominated(v):
+        return any(u != v and all(a >= b for a, b in zip(u.as_tuple(), v.as_tuple()))
+                   for u in points)
+
+    assert {v for v in points if not dominated(v)} == {s.triple for s in sharp_bounds()}
 
 
 def test_projection_into_nonnegative_part():

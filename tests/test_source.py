@@ -7,7 +7,10 @@ import importlib
 import inspect
 import pickle
 import sys
+import types
 from pathlib import Path
+
+import matchbounds
 
 from matchbounds.graphs import MalformedGraph6Error
 
@@ -44,6 +47,30 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names | {"matchbounds"}
             ]
     assert found == []
+
+
+def test_public_exports_are_pinned():
+    # The package exports what checks the paper's result; a name added to
+    # or dropped from the surface must be added to or dropped from here.
+    exported = sorted(
+        name for name, value in vars(matchbounds).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == [
+        "BoundReport", "BoundSpec", "CoefficientTriple", "DecompositionMismatchError",
+        "DegreeProfile", "EnumerationConfig", "FamilySpec", "GEDecomposition",
+        "GEPropertyReport", "Graph", "HalfSpace", "InvalidParameterError",
+        "LimitExceededError", "MalformedGraph6Error", "Matching", "Membership",
+        "NegativeLambdaError", "NotConnectedError", "NotInPError", "NotSubcubicError",
+        "Polyhedron", "TooLargeError", "TripleInPError", "UnboundedInputError",
+        "brute_force_nu", "canonical_form", "canonical_key", "closed_nu", "closed_profile",
+        "contains", "counterexample", "degree_profile", "emit_graph6", "enumerate_subcubic",
+        "evaluate_bound", "evaluate_bounds", "gallai_edmonds", "generate",
+        "has_perfect_matching", "is_connected", "is_hypomatchable", "is_subcubic",
+        "max_matching", "nu", "parse_fraction", "parse_graph6", "polyhedron_P",
+        "polyhedron_P_plus", "project_to_Pplus", "random_subcubic", "sharp_bounds",
+        "shift_transform", "triple", "valid_constant", "verify_ge_properties", "vertices",
+    ]
 
 
 # Arguments for the exception classes with their own ``__init__``.
