@@ -46,8 +46,24 @@ on them.
 Survivors get one search, which yields both the key and the relabelling;
 only when other removable vertices tie with x is orbit membership
 tested, by individualising x and the last tied vertex and comparing
-their codes.  Graphs are handled as adjacency-mask tuples; a ``Graph``
-is built once per kept class, when its level is yielded.
+their codes.
+
+Per-parent state.  Levels hold graphs as adjacency-mask tuples, and a
+``Graph`` is built once per kept class, when its level is yielded.  A
+parent's neighbor lists, degrees and packed invariants are computed
+once.  A child differs from its parent only at x, at the k vertices it
+joins and at their neighbors, so its lists and invariants are copies of
+the parent's, patched there.  ``_invariants`` packs every subcubic
+graph in one layout, D = 3 and w = 2: a vertex of degree d is ``(d << 6)
++ sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4, 16).  Joining v of parent degree d adds ``(1 << 6) + W[k]`` to v and
+``W[d + 1] - W[d]`` to each parent neighbor of v; x gets ``(k << 6) +
+sum(W[d + 1])`` over the joined v.  Every generated graph has degree at
+most 3, so each 2-bit field counts at most 3 neighbors and the degree
+sits above the fields: the ints order like the (degree, sorted neighbor
+degrees) tuples.  So the generation key, (invariants sorted descending,
+code), sorts and splits a level exactly as ``canonical_key`` does, with
+no unpacking; ``canonical_key`` keeps the tuples, since it accepts any
+degree.
 """
 
 from __future__ import annotations
@@ -91,15 +107,17 @@ def _bits(m: int) -> Iterator[int]:
 
 def _invariants(masks) -> tuple[list[int], int]:
     """Per vertex, (degree, neighbor degrees sorted descending) packed into
-    one int that orders like the tuple; plus the maximum degree D.
+    one int that orders like the tuple; plus D, the maximum degree or 3 if
+    that is larger.
 
     With field width w > D (``_width``), bits w*(d-1).. count the neighbors
     of degree d and bits w*D.. hold the degree.  Tuples of equal degree
     have equal length, and sorted sequences of equal length compare like
-    their counts taken from the largest entry down.
+    their counts taken from the largest entry down.  Every subcubic graph
+    gets the one layout D = 3, w = 2 that generation patches (``_W``).
     """
     degs = [m.bit_count() for m in masks]
-    top = max(degs, default=0)
+    top = max([3, *degs])
     w = _width(top)
     of_degree = [0] * (top + 1)
     for v, d in enumerate(degs):
@@ -132,9 +150,10 @@ def _vertex_classes(inv: list[int]) -> list[int]:
     return [index[key] for key in inv]
 
 
-def _canonical_order(masks, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One vertex ordering achieving the canonical code under the vertex
-    classes ``cls``, plus the code.
+    classes ``cls``, plus the code, for the graph with neighbor lists
+    ``nbrs``.
 
     The code is the lexicographically greatest sequence of adjacency
     chunks (position i: the adjacency of the i-th vertex to the earlier
@@ -148,8 +167,7 @@ def _canonical_order(masks, cls: list[int]) -> tuple[tuple[int, ...], tuple[int,
     position p at bit n-1-p (-1 once the vertex is placed), so a chunk is
     read off in O(1) and placing a vertex touches only its neighbors.
     """
-    n = len(masks)
-    nbrs = [list(_bits(m)) for m in masks]
+    n = len(nbrs)
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(cls[v], []).append(v)
@@ -186,35 +204,31 @@ def _canonical_order(masks, cls: list[int]) -> tuple[tuple[int, ...], tuple[int,
 
 
 def canonical_key(g: Graph):
-    """Hashable complete isomorphism invariant."""
-    masks = g.adjacency_masks()
-    inv, top = _invariants(masks)
-    _, code = _canonical_order(masks, _vertex_classes(inv))
-    return _key(inv, top, code)
+    """Hashable complete isomorphism invariant: (n, profile, code), where
+    the profile lists every vertex's (degree, sorted neighbor degrees),
+    largest first."""
+    inv, top = _invariants(g.adjacency_masks())
+    _, code = _canonical_order(g._adj, _vertex_classes(inv))
+    unpacked = {key: _unpack(key, top) for key in set(inv)}
+    return (g.n, tuple(unpacked[key] for key in sorted(inv, reverse=True)), code)
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    masks = g.adjacency_masks()
-    order, _ = _canonical_order(masks, _vertex_classes(_invariants(masks)[0]))
-    return _graph(_relabelled(masks, order))
+    cls = _vertex_classes(_invariants(g.adjacency_masks())[0])
+    order, _ = _canonical_order(g._adj, cls)
+    return _graph(_relabelled(g._adj, order))
 
 
-def _key(inv: list[int], top: int, code: tuple[int, ...]):
-    """(n, profile, code); the profile lists every vertex's (degree, sorted
-    neighbor degrees), largest first."""
-    unpacked = {key: _unpack(key, top) for key in set(inv)}
-    return (len(inv), tuple(unpacked[key] for key in sorted(inv, reverse=True)), code)
-
-
-def _relabelled(masks, order: tuple[int, ...]) -> tuple[int, ...]:
-    """The adjacency masks with ``order[i]`` renamed to i."""
+def _relabelled(nbrs, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency masks of the graph with neighbor lists ``nbrs`` and
+    ``order[i]`` renamed to i."""
     position = [0] * len(order)
     for pos, v in enumerate(order):
         position[v] = pos
     out = [0] * len(order)
-    for v, m in enumerate(masks):
-        out[position[v]] = sum(1 << position[u] for u in _bits(m))
+    for v, vs in enumerate(nbrs):
+        out[position[v]] = sum(1 << position[u] for u in vs)
     return tuple(out)
 
 
@@ -240,53 +254,90 @@ def _removable(masks, v: int) -> bool:
     return seen == rest
 
 
-def _individualised_code(masks, cls: list[int], v: int) -> tuple[int, ...]:
+def _individualised_code(nbrs, cls: list[int], v: int) -> tuple[int, ...]:
     """Canonical code with v moved into a class of its own, placed first:
     equal for two vertices exactly when an automorphism maps one onto the
     other."""
     own = [c + 1 for c in cls]
     own[v] = 0
-    return _canonical_order(masks, own)[1]
+    return _canonical_order(nbrs, own)[1]
 
 
-def _canonical_child(masks: list[int]):
-    """(canonical key, canonical order) of a child whose new vertex x is
+# What one neighbor of degree d adds to a packed invariant in the layout
+# D = 3, w = 2 of ``_invariants``: bits 2*(d-1).. count degree-d neighbors.
+_W = (0, 1, 4, 16)
+
+
+def _parent_state(parent: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Neighbor lists, degrees and packed invariants of a parent."""
+    nbrs = [list(_bits(m)) for m in parent]
+    return nbrs, [len(vs) for vs in nbrs], _invariants(parent)[0]
+
+
+def _child_state(parent: tuple[int, ...], state, joined: tuple[int, ...]):
+    """Masks, neighbor lists and packed invariants of the child that joins
+    a new vertex x to ``joined``, patched from the parent's ``state``:
+    only x, the joined vertices and their neighbors change."""
+    nbrs, degs, inv = state
+    x = len(parent)
+    k = len(joined)
+    masks = list(parent)
+    c_nbrs = nbrs[:]
+    c_inv = inv[:]
+    ix = k << 6
+    for v in joined:
+        d = degs[v]
+        masks[v] |= 1 << x
+        c_nbrs[v] = nbrs[v] + [x]
+        c_inv[v] += (1 << 6) + _W[k]
+        step = _W[d + 1] - _W[d]
+        for u in nbrs[v]:
+            c_inv[u] += step
+        ix += _W[d + 1]
+    masks.append(sum(1 << v for v in joined))
+    c_nbrs.append(list(joined))
+    c_inv.append(ix)
+    return masks, c_nbrs, c_inv
+
+
+def _canonical_child(masks: list[int], nbrs: list[list[int]], inv: list[int]):
+    """(generation key, canonical order) of a child whose new vertex x is
     the last one, or None unless x lies in the canonical orbit.
 
     The canonical orbit holds, among the removable vertices with the
     smallest invariant (the latest class) and then the smallest sum of
     neighbor invariants, the one that comes last in the canonical order.
     A removable vertex below x on either count rejects the child before
-    any search.
+    any search.  The key is (invariants sorted descending, code): within
+    a level it sorts and splits like ``canonical_key``.
     """
     x = len(masks) - 1
-    inv, top = _invariants(masks)
     ix = inv[x]
     for v in range(x):
         if inv[v] < ix and _removable(masks, v):
             return None
     tied = [v for v in range(x) if inv[v] == ix and _removable(masks, v)]
     if tied:
-        near = {v: sum(inv[u] for u in _bits(masks[v])) for v in tied + [x]}
+        near = {v: sum(inv[u] for u in nbrs[v]) for v in tied + [x]}
         if any(near[v] < near[x] for v in tied):
             return None
         tied = [v for v in tied if near[v] == near[x]]
     cls = _vertex_classes(inv)
-    order, code = _canonical_order(masks, cls)
+    order, code = _canonical_order(nbrs, cls)
     if tied:
         last = max(tied + [x], key=order.index)
-        if last != x and _individualised_code(masks, cls, x) != _individualised_code(
-            masks, cls, last
+        if last != x and _individualised_code(nbrs, cls, x) != _individualised_code(
+            nbrs, cls, last
         ):
             return None
-    return _key(inv, top, code), order
+    return (tuple(sorted(inv, reverse=True)), code), order
 
 
-def _children(parent: tuple[int, ...]) -> Iterator[list[int]]:
+def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The ways to join one new vertex to k = 1..3 vertices of degree < 3
-    that the degree rule allows: the join holds every vertex of degree < k
-    that is removable in the parent, and each of those has degree >= k - 1."""
-    x = len(parent)
+    that the degree rule allows, as tuples of the joined vertices: the join
+    holds every vertex of degree < k that is removable in the parent, and
+    each of those has degree >= k - 1."""
     spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
     removable = [v for v in spots if _removable(parent, v)]
     for k in (1, 2, 3):
@@ -295,12 +346,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[list[int]]:
             continue
         free = [v for v in spots if v not in must]
         for rest in combinations(free, k - len(must)):
-            joined = must + rest
-            masks = list(parent)
-            for v in joined:
-                masks[v] |= 1 << x
-            masks.append(sum(1 << v for v in joined))
-            yield masks
+            yield must + rest
 
 
 def _kept_children(parent: tuple[int, ...]) -> dict:
@@ -310,12 +356,14 @@ def _kept_children(parent: tuple[int, ...]) -> dict:
     automorphisms, and no other parent can produce them, so a key seen
     before needs no relabelling.
     """
+    state = _parent_state(parent)
     found: dict = {}
-    for masks in _children(parent):
-        kept = _canonical_child(masks)
+    for joined in _children(parent):
+        masks, nbrs, inv = _child_state(parent, state, joined)
+        kept = _canonical_child(masks, nbrs, inv)
         if kept is not None and kept[0] not in found:
             key, order = kept
-            found[key] = _relabelled(masks, order)
+            found[key] = _relabelled(nbrs, order)
     return found
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -119,50 +120,92 @@ def _labeled_connected(n: int, edges: list[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
-def _unpruned_kept(parent) -> dict:
-    """Oracle for the generator's pruning: the acceptance rule with none of
-    its shortcuts.  Every join of 1..3 vertices of degree < 3 is built,
-    every vertex gets the removability search, and the full invariants
-    come first.  Canonical masks of the kept children, by key."""
+def _unpruned_kept(parent) -> set:
+    """Oracle for the generator's pruning and its per-parent state: the
+    acceptance rule with none of its shortcuts.  Every join of 1..3
+    vertices of degree < 3 is built, every vertex gets the removability
+    search, and each child's invariants and neighbor lists are computed
+    from its own masks.  The canonical masks of the kept children."""
     x = len(parent)
     spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
-    found: dict = {}
+    found = set()
     for size in (1, 2, 3):
         for joined in combinations(spots, size):
             masks = list(parent)
             for v in joined:
                 masks[v] |= 1 << x
             masks.append(sum(1 << v for v in joined))
-            inv, top = enumeration._invariants(masks)
+            nbrs = [list(enumeration._bits(m)) for m in masks]
+            inv, _ = enumeration._invariants(masks)
             removable = [v for v in range(x) if enumeration._removable(masks, v)]
             if any(inv[v] < inv[x] for v in removable):
                 continue
-            near = {
-                v: sum(inv[u] for u in range(x + 1) if masks[v] >> u & 1)
-                for v in removable + [x]
-            }
+            near = {v: sum(inv[u] for u in nbrs[v]) for v in removable + [x]}
             tied = [v for v in removable if inv[v] == inv[x]]
             if any(near[v] < near[x] for v in tied):
                 continue
             tied = [v for v in tied if near[v] == near[x]]
             cls = enumeration._vertex_classes(inv)
-            order, code = enumeration._canonical_order(masks, cls)
+            order, _ = enumeration._canonical_order(nbrs, cls)
             last = max(tied + [x], key=order.index)
             code_of = enumeration._individualised_code
-            if last != x and code_of(masks, cls, x) != code_of(masks, cls, last):
+            if last != x and code_of(nbrs, cls, x) != code_of(nbrs, cls, last):
                 continue
-            key = enumeration._key(inv, top, code)
-            found.setdefault(key, enumeration._relabelled(masks, order))
+            found.add(enumeration._relabelled(nbrs, order))
     return found
 
 
 def test_pruned_children_match_the_unpruned_rule(corpus_by_n):
     # The degree rule must only skip children that the acceptance rule
-    # rejects anyway.
+    # rejects anyway, and one parent makes each class once.
     for n in range(1, 10):
         for g in corpus_by_n[n]:
             parent = tuple(g.adjacency_masks())
-            assert enumeration._kept_children(parent) == _unpruned_kept(parent), g.edges
+            kept = enumeration._kept_children(parent)
+            masks = set(kept.values())
+            assert len(masks) == len(kept) and masks == _unpruned_kept(parent), g.edges
+
+
+def _small_children(corpus_by_n):
+    """(masks, neighbor lists, invariants) of every child that ``_children``
+    yields from a parent with n <= 9, as the generator derives them."""
+    for n in range(1, 10):
+        for g in corpus_by_n[n]:
+            parent = tuple(g.adjacency_masks())
+            state = enumeration._parent_state(parent)
+            for joined in enumeration._children(parent):
+                yield enumeration._child_state(parent, state, joined)
+
+
+def test_child_state_matches_a_fresh_computation(corpus_by_n):
+    # The patched invariants read as the same (degree, sorted neighbor
+    # degrees) tuples as the invariants computed from the child's masks.
+    for masks, nbrs, inv in _small_children(corpus_by_n):
+        fresh, top = enumeration._invariants(masks)
+        assert [enumeration._unpack(key, 3) for key in inv] == [
+            enumeration._unpack(key, top) for key in fresh
+        ], masks
+        assert [sorted(vs) for vs in nbrs] == [list(enumeration._bits(m)) for m in masks]
+
+
+def test_generation_keys_order_like_canonical_keys(corpus_by_n):
+    # Within a level the flat generation keys must sort and tie exactly as
+    # canonical_key does.  Kept children are taken before the per-parent
+    # dictionary, so automorphic duplicates give ties.
+    by_n: dict[int, list] = {}
+    for masks, nbrs, inv in _small_children(corpus_by_n):
+        kept = enumeration._canonical_child(masks, nbrs, inv)
+        if kept is not None:
+            key = canonical_key(enumeration._graph(tuple(masks)))
+            by_n.setdefault(len(masks), []).append((kept[0], key))
+    ties = 0
+    for pairs in by_n.values():
+        pairs.sort(key=itemgetter(0))
+        for (flat, key), (next_flat, next_key) in zip(pairs, pairs[1:]):
+            assert key <= next_key
+            assert (flat == next_flat) == (key == next_key)
+            ties += flat == next_flat
+    assert sorted(by_n) == list(range(2, 11)) and ties > 0
 
 
 def test_generation_work_is_pinned(sweep_generation):

@@ -19,7 +19,7 @@ from matchbounds.matching import (
     nu,
 )
 
-from .conftest import connected_upto
+from .conftest import certified_nu, connected_upto
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -91,6 +91,12 @@ def test_matching_rejects_overlapping_edges():
 def test_oracle_equivalence_small(corpus_by_n):
     for g in connected_upto(corpus_by_n, 8):
         assert len(max_matching(g)) == brute_force_nu(g), g
+
+
+def test_certified_nu_matches_brute_force(corpus_by_n):
+    # The oracle of the Tutte-Berge checker that certifies every swept nu.
+    for g in connected_upto(corpus_by_n, 9):
+        assert certified_nu(g) == brute_force_nu(g), g
 
 
 def test_deletion_monotonicity(corpus_by_n):
