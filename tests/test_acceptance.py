@@ -2,7 +2,7 @@
 printed pass/fail line each (see conftest terminal summary).
 
 The exhaustive bound sweep covers n <= 12 by default (its setup, the
-generation and the profile rows, takes about 11 s); set
+generation and the certified profile rows, takes 6 to 8 s); set
 MATCHBOUNDS_SWEEP_MAX_N=10 for quicker iteration.
 """
 
