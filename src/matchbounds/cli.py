@@ -138,7 +138,7 @@ def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
     the manifest holds.  Any exception, ``KeyboardInterrupt`` included,
     marks the manifest partial, as does a stdout closed before the sweep's
     output is flushed; it is written either way."""
-    started = time.time()
+    started = time.perf_counter()
     corpus, stream = _corpus(args)
     manifest = RunManifest(command, config, corpus, counts=dict.fromkeys(count_names, 0))
     try:
@@ -148,7 +148,7 @@ def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
         manifest.partial = True
         raise
     finally:
-        manifest.wall_time_s = round(time.time() - started, 3)
+        manifest.wall_time_s = round(time.perf_counter() - started, 3)
         _write_manifest(manifest, args.manifest)
 
 

@@ -48,14 +48,17 @@ only when other removable vertices tie with x is orbit membership
 tested, by individualising x and the last tied vertex and comparing
 their codes.
 
-Per-parent state.  Levels hold graphs as adjacency-mask tuples, and a
-``Graph`` is built once per kept class, when its level is yielded.  A
-parent's neighbor lists, degrees and packed invariants are computed
-once.  A child differs from its parent only at x, at the k vertices it
-joins and at their neighbors, so its lists and invariants are copies of
-the parent's, patched there.  ``_invariants`` packs every subcubic
-graph in one layout, D = 3 and w = 2: a vertex of degree d is ``(d << 6)
-+ sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4, 16).  Joining v of parent degree d adds ``(1 << 6) + W[k]`` to v and
+Per-parent state.  The enumerator holds every graph in one form, the
+adjacency tuple that ``Graph._adj`` stores: per vertex, its neighbors as
+a sorted tuple.  Levels hold (key, adjacency) pairs, a parent's neighbor
+lists are its adjacency as it stands, and each kept class is yielded as
+a ``Graph`` with no conversion.  A parent's packed invariants are
+computed once.  A child differs from its parent only at x, at the k
+vertices it joins and at their neighbors, so its lists and invariants
+are copies of the parent's, patched there.  ``_invariants`` packs every
+subcubic graph in one layout, D = 3 and w = 2: a vertex of degree d is
+``(d << 6) + sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4,
+16).  Joining v of parent degree d adds ``(1 << 6) + W[k]`` to v and
 ``W[d + 1] - W[d]`` to each parent neighbor of v; x gets ``(k << 6) +
 sum(W[d + 1])`` over the joined v.  Every generated graph has degree at
 most 3, so each 2-bit field counts at most 3 neighbors and the degree
@@ -97,18 +100,10 @@ class EnumerationConfig:
             )
 
 
-def _bits(m: int) -> Iterator[int]:
-    """The indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
-def _invariants(masks) -> tuple[list[int], int]:
-    """Per vertex, (degree, neighbor degrees sorted descending) packed into
-    one int that orders like the tuple; plus D, the maximum degree or 3 if
-    that is larger.
+def _invariants(nbrs) -> tuple[list[int], int]:
+    """Per vertex of the graph with neighbor lists ``nbrs``, (degree,
+    neighbor degrees sorted descending) packed into one int that orders
+    like the tuple; plus D, the maximum degree or 3 if that is larger.
 
     With field width w > D (``_width``), bits w*(d-1).. count the neighbors
     of degree d and bits w*D.. hold the degree.  Tuples of equal degree
@@ -116,18 +111,13 @@ def _invariants(masks) -> tuple[list[int], int]:
     their counts taken from the largest entry down.  Every subcubic graph
     gets the one layout D = 3, w = 2 that generation patches (``_W``).
     """
-    degs = [m.bit_count() for m in masks]
+    degs = [len(vs) for vs in nbrs]
     top = max([3, *degs])
     w = _width(top)
-    of_degree = [0] * (top + 1)
-    for v, d in enumerate(degs):
-        of_degree[d] |= 1 << v
-    inv = []
-    for v, m in enumerate(masks):
-        s = degs[v]
-        for d in range(top, 0, -1):
-            s = (s << w) | (m & of_degree[d]).bit_count()
-        inv.append(s)
+    weight = [0] + [1 << (w * (d - 1)) for d in range(1, top + 1)]
+    inv = [
+        (d << (w * top)) + sum(weight[degs[u]] for u in vs) for d, vs in zip(degs, nbrs)
+    ]
     return inv, top
 
 
@@ -207,7 +197,7 @@ def canonical_key(g: Graph):
     """Hashable complete isomorphism invariant: (n, profile, code), where
     the profile lists every vertex's (degree, sorted neighbor degrees),
     largest first."""
-    inv, top = _invariants(g.adjacency_masks())
+    inv, top = _invariants(g._adj)
     _, code = _canonical_order(g._adj, _vertex_classes(inv))
     unpacked = {key: _unpack(key, top) for key in set(inv)}
     return (g.n, tuple(unpacked[key] for key in sorted(inv, reverse=True)), code)
@@ -215,43 +205,38 @@ def canonical_key(g: Graph):
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    cls = _vertex_classes(_invariants(g.adjacency_masks())[0])
+    cls = _vertex_classes(_invariants(g._adj)[0])
     order, _ = _canonical_order(g._adj, cls)
-    return _graph(_relabelled(g._adj, order))
+    return Graph._from_adjacency(_relabelled(g._adj, order))
 
 
-def _relabelled(nbrs, order: tuple[int, ...]) -> tuple[int, ...]:
-    """The adjacency masks of the graph with neighbor lists ``nbrs`` and
-    ``order[i]`` renamed to i."""
+def _relabelled(nbrs, order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The adjacency tuple, with sorted neighbor tuples as ``Graph._adj``
+    holds them, of the graph with neighbor lists ``nbrs`` and ``order[i]``
+    renamed to i."""
     position = [0] * len(order)
     for pos, v in enumerate(order):
         position[v] = pos
-    out = [0] * len(order)
-    for v, vs in enumerate(nbrs):
-        out[position[v]] = sum(1 << position[u] for u in vs)
-    return tuple(out)
+    return tuple([tuple(sorted([position[u] for u in nbrs[v]])) for v in order])
 
 
-def _graph(masks: tuple[int, ...]) -> Graph:
-    # ``_bits`` lists a mask's bits lowest first, so each tuple is sorted.
-    return Graph._from_adjacency(tuple(tuple(_bits(m)) for m in masks))
-
-
-def _removable(masks, v: int) -> bool:
-    """Deleting v leaves the (connected) graph connected."""
-    if masks[v] & (masks[v] - 1) == 0:
-        return True  # a leaf
-    rest = ((1 << len(masks)) - 1) & ~(1 << v)
-    seen = reach = rest & -rest
-    while reach:
-        nxt = 0
-        while reach:
-            low = reach & -reach
-            nxt |= masks[low.bit_length() - 1]
-            reach ^= low
-        reach = nxt & rest & ~seen
-        seen |= reach
-    return seen == rest
+def _removable(nbrs, v: int) -> bool:
+    """Deleting v leaves the (connected) graph with neighbor lists
+    ``nbrs`` connected."""
+    if len(nbrs[v]) <= 1:
+        return True  # a leaf, or the one vertex of a single-vertex graph
+    start = nbrs[v][0]
+    seen = [False] * len(nbrs)
+    seen[v] = seen[start] = True
+    left = len(nbrs) - 2
+    stack = [start]
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                left -= 1
+                stack.append(u)
+    return left == 0
 
 
 def _individualised_code(nbrs, cls: list[int], v: int) -> tuple[int, ...]:
@@ -268,39 +253,31 @@ def _individualised_code(nbrs, cls: list[int], v: int) -> tuple[int, ...]:
 _W = (0, 1, 4, 16)
 
 
-def _parent_state(parent: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Neighbor lists, degrees and packed invariants of a parent."""
-    nbrs = [list(_bits(m)) for m in parent]
-    return nbrs, [len(vs) for vs in nbrs], _invariants(parent)[0]
-
-
-def _child_state(parent: tuple[int, ...], state, joined: tuple[int, ...]):
-    """Masks, neighbor lists and packed invariants of the child that joins
-    a new vertex x to ``joined``, patched from the parent's ``state``:
-    only x, the joined vertices and their neighbors change."""
-    nbrs, degs, inv = state
+def _child_state(parent, inv: list[int], joined: tuple[int, ...]):
+    """Neighbor lists and packed invariants of the child that joins a new
+    vertex x to ``joined``, patched from the parent's adjacency and
+    invariants ``inv``: only x, the joined vertices and their neighbors
+    change.  x's list is ``joined`` as it is; every other list stays
+    sorted."""
     x = len(parent)
     k = len(joined)
-    masks = list(parent)
-    c_nbrs = nbrs[:]
+    nbrs = list(parent)
     c_inv = inv[:]
     ix = k << 6
     for v in joined:
-        d = degs[v]
-        masks[v] |= 1 << x
-        c_nbrs[v] = nbrs[v] + [x]
+        d = len(parent[v])
+        nbrs[v] = parent[v] + (x,)
         c_inv[v] += (1 << 6) + _W[k]
         step = _W[d + 1] - _W[d]
-        for u in nbrs[v]:
+        for u in parent[v]:
             c_inv[u] += step
         ix += _W[d + 1]
-    masks.append(sum(1 << v for v in joined))
-    c_nbrs.append(list(joined))
+    nbrs.append(joined)
     c_inv.append(ix)
-    return masks, c_nbrs, c_inv
+    return nbrs, c_inv
 
 
-def _canonical_child(masks: list[int], nbrs: list[list[int]], inv: list[int]):
+def _canonical_child(nbrs, inv: list[int]):
     """(generation key, canonical order) of a child whose new vertex x is
     the last one, or None unless x lies in the canonical orbit.
 
@@ -311,12 +288,12 @@ def _canonical_child(masks: list[int], nbrs: list[list[int]], inv: list[int]):
     any search.  The key is (invariants sorted descending, code): within
     a level it sorts and splits like ``canonical_key``.
     """
-    x = len(masks) - 1
+    x = len(nbrs) - 1
     ix = inv[x]
     for v in range(x):
-        if inv[v] < ix and _removable(masks, v):
+        if inv[v] < ix and _removable(nbrs, v):
             return None
-    tied = [v for v in range(x) if inv[v] == ix and _removable(masks, v)]
+    tied = [v for v in range(x) if inv[v] == ix and _removable(nbrs, v)]
     if tied:
         near = {v: sum(inv[u] for u in nbrs[v]) for v in tied + [x]}
         if any(near[v] < near[x] for v in tied):
@@ -333,34 +310,35 @@ def _canonical_child(masks: list[int], nbrs: list[list[int]], inv: list[int]):
     return (tuple(sorted(inv, reverse=True)), code), order
 
 
-def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _children(parent) -> Iterator[tuple[int, ...]]:
     """The ways to join one new vertex to k = 1..3 vertices of degree < 3
     that the degree rule allows, as tuples of the joined vertices: the join
     holds every vertex of degree < k that is removable in the parent, and
     each of those has degree >= k - 1."""
-    spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
+    spots = [v for v, vs in enumerate(parent) if len(vs) < 3]
     removable = [v for v in spots if _removable(parent, v)]
     for k in (1, 2, 3):
-        must = tuple(v for v in removable if parent[v].bit_count() < k)
-        if len(must) > k or any(parent[v].bit_count() < k - 1 for v in must):
+        must = tuple(v for v in removable if len(parent[v]) < k)
+        if len(must) > k or any(len(parent[v]) < k - 1 for v in must):
             continue
         free = [v for v in spots if v not in must]
         for rest in combinations(free, k - len(must)):
             yield must + rest
 
 
-def _kept_children(parent: tuple[int, ...]) -> dict:
-    """Canonical masks of the kept children of one parent, by key.
+def _kept_children(parent) -> dict:
+    """Canonical adjacency tuples of the kept children of one parent, by
+    key.
 
     Isomorphic kept children of one parent differ by one of its
     automorphisms, and no other parent can produce them, so a key seen
     before needs no relabelling.
     """
-    state = _parent_state(parent)
+    inv = _invariants(parent)[0]
     found: dict = {}
     for joined in _children(parent):
-        masks, nbrs, inv = _child_state(parent, state, joined)
-        kept = _canonical_child(masks, nbrs, inv)
+        nbrs, c_inv = _child_state(parent, inv, joined)
+        kept = _canonical_child(nbrs, c_inv)
         if kept is not None and kept[0] not in found:
             key, order = kept
             found[key] = _relabelled(nbrs, order)
@@ -370,15 +348,15 @@ def _kept_children(parent: tuple[int, ...]) -> dict:
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     """Connected subcubic graphs grouped by vertex count, canonical labels,
     each level sorted by canonical key."""
-    yield [_graph((0,))]
-    parents: list[tuple[int, ...]] = [(0,)]
+    parents: list[tuple[tuple[int, ...], ...]] = [((),)]
+    yield [Graph._from_adjacency(parents[0])]
     for _ in range(2, max_n + 1):
         level = []
         for parent in parents:
             level.extend(_kept_children(parent).items())
         level.sort(key=itemgetter(0))
-        parents = [masks for _, masks in level]
-        yield [_graph(masks) for masks in parents]
+        parents = [adj for _, adj in level]
+        yield [Graph._from_adjacency(adj) for adj in parents]
 
 
 def enumerate_subcubic(cfg: EnumerationConfig) -> Iterator[Graph]:

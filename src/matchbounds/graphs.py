@@ -83,10 +83,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent)."""
-        return [sum(1 << u for u in nb) for nb in self._adj]
-
     # -- derived graphs ------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:

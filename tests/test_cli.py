@@ -368,6 +368,18 @@ def test_manifest_file(capsys, tmp_path):
     assert manifest["corpus"] == "enumerate<=4"
 
 
+def test_manifest_wall_time_ignores_wall_clock_steps(capsys, monkeypatch, tmp_path):
+    # The wall clock can step backwards during a run (an NTP correction);
+    # the run's duration must not.
+    steps = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(matchbounds.cli.time, "time", lambda: float(next(steps)))
+    path = tmp_path / "manifest.json"
+    code, _, _ = run(capsys, "verify", "--enumerate", "3", "--manifest", str(path))
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(path.read_text())["wall_time_s"] >= 0
+
+
 def test_family_stats(capsys):
     code, out, _ = run(capsys, "family", "G2", "1", "--stats")
     assert code == 0

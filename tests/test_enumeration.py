@@ -120,38 +120,45 @@ def _labeled_connected(n: int, edges: list[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
+def _joins(parent):
+    """Every child of ``parent`` that joins a new vertex to 1..3 vertices
+    of degree < 3, built by the validating ``Graph(n, edges)``, with the
+    joined vertices."""
+    x = len(parent)
+    edges = [(u, v) for u, vs in enumerate(parent) for v in vs if u < v]
+    spots = [v for v, vs in enumerate(parent) if len(vs) < 3]
+    for size in (1, 2, 3):
+        for joined in combinations(spots, size):
+            yield Graph(x + 1, edges + [(v, x) for v in joined]), joined
+
+
 def _unpruned_kept(parent) -> set:
     """Oracle for the generator's pruning and its per-parent state: the
     acceptance rule with none of its shortcuts.  Every join of 1..3
     vertices of degree < 3 is built, every vertex gets the removability
-    search, and each child's invariants and neighbor lists are computed
-    from its own masks.  The canonical masks of the kept children."""
+    search, and each child's neighbor lists and invariants are read from
+    its own adjacency.  The canonical adjacency tuples of the kept
+    children."""
     x = len(parent)
-    spots = [v for v, m in enumerate(parent) if m.bit_count() < 3]
     found = set()
-    for size in (1, 2, 3):
-        for joined in combinations(spots, size):
-            masks = list(parent)
-            for v in joined:
-                masks[v] |= 1 << x
-            masks.append(sum(1 << v for v in joined))
-            nbrs = [list(enumeration._bits(m)) for m in masks]
-            inv, _ = enumeration._invariants(masks)
-            removable = [v for v in range(x) if enumeration._removable(masks, v)]
-            if any(inv[v] < inv[x] for v in removable):
-                continue
-            near = {v: sum(inv[u] for u in nbrs[v]) for v in removable + [x]}
-            tied = [v for v in removable if inv[v] == inv[x]]
-            if any(near[v] < near[x] for v in tied):
-                continue
-            tied = [v for v in tied if near[v] == near[x]]
-            cls = enumeration._vertex_classes(inv)
-            order, _ = enumeration._canonical_order(nbrs, cls)
-            last = max(tied + [x], key=order.index)
-            code_of = enumeration._individualised_code
-            if last != x and code_of(nbrs, cls, x) != code_of(nbrs, cls, last):
-                continue
-            found.add(enumeration._relabelled(nbrs, order))
+    for child, _ in _joins(parent):
+        nbrs = child._adj
+        inv, _ = enumeration._invariants(nbrs)
+        removable = [v for v in range(x) if enumeration._removable(nbrs, v)]
+        if any(inv[v] < inv[x] for v in removable):
+            continue
+        near = {v: sum(inv[u] for u in nbrs[v]) for v in removable + [x]}
+        tied = [v for v in removable if inv[v] == inv[x]]
+        if any(near[v] < near[x] for v in tied):
+            continue
+        tied = [v for v in tied if near[v] == near[x]]
+        cls = enumeration._vertex_classes(inv)
+        order, _ = enumeration._canonical_order(nbrs, cls)
+        last = max(tied + [x], key=order.index)
+        code_of = enumeration._individualised_code
+        if last != x and code_of(nbrs, cls, x) != code_of(nbrs, cls, last):
+            continue
+        found.add(enumeration._relabelled(nbrs, order))
     return found
 
 
@@ -160,32 +167,33 @@ def test_pruned_children_match_the_unpruned_rule(corpus_by_n):
     # rejects anyway, and one parent makes each class once.
     for n in range(1, 10):
         for g in corpus_by_n[n]:
-            parent = tuple(g.adjacency_masks())
-            kept = enumeration._kept_children(parent)
-            masks = set(kept.values())
-            assert len(masks) == len(kept) and masks == _unpruned_kept(parent), g.edges
+            kept = enumeration._kept_children(g._adj)
+            adjacencies = set(kept.values())
+            assert len(adjacencies) == len(kept), g.edges
+            assert adjacencies == _unpruned_kept(g._adj), g.edges
 
 
 def _small_children(corpus_by_n):
-    """(masks, neighbor lists, invariants) of every child that ``_children``
-    yields from a parent with n <= 9, as the generator derives them."""
+    """(child, neighbor lists, invariants) of every child that
+    ``_children`` yields from a parent with n <= 9: the child built by the
+    validating ``Graph(n, edges)``, with the lists and invariants that
+    the generator patches from its parent."""
     for n in range(1, 10):
         for g in corpus_by_n[n]:
-            parent = tuple(g.adjacency_masks())
-            state = enumeration._parent_state(parent)
+            parent = g._adj
+            inv = enumeration._invariants(parent)[0]
+            children = {joined: child for child, joined in _joins(parent)}
             for joined in enumeration._children(parent):
-                yield enumeration._child_state(parent, state, joined)
+                nbrs, c_inv = enumeration._child_state(parent, inv, joined)
+                yield children[tuple(sorted(joined))], nbrs, c_inv
 
 
 def test_child_state_matches_a_fresh_computation(corpus_by_n):
-    # The patched invariants read as the same (degree, sorted neighbor
-    # degrees) tuples as the invariants computed from the child's masks.
-    for masks, nbrs, inv in _small_children(corpus_by_n):
-        fresh, top = enumeration._invariants(masks)
-        assert [enumeration._unpack(key, 3) for key in inv] == [
-            enumeration._unpack(key, top) for key in fresh
-        ], masks
-        assert [sorted(vs) for vs in nbrs] == [list(enumeration._bits(m)) for m in masks]
+    # The patched lists are the child's adjacency, and the patched
+    # invariants are those computed from it.
+    for child, nbrs, inv in _small_children(corpus_by_n):
+        assert tuple(tuple(sorted(vs)) for vs in nbrs) == child._adj, child.edges
+        assert inv == enumeration._invariants(child._adj)[0], child.edges
 
 
 def test_generation_keys_order_like_canonical_keys(corpus_by_n):
@@ -193,11 +201,10 @@ def test_generation_keys_order_like_canonical_keys(corpus_by_n):
     # canonical_key does.  Kept children are taken before the per-parent
     # dictionary, so automorphic duplicates give ties.
     by_n: dict[int, list] = {}
-    for masks, nbrs, inv in _small_children(corpus_by_n):
-        kept = enumeration._canonical_child(masks, nbrs, inv)
+    for child, nbrs, inv in _small_children(corpus_by_n):
+        kept = enumeration._canonical_child(nbrs, inv)
         if kept is not None:
-            key = canonical_key(enumeration._graph(tuple(masks)))
-            by_n.setdefault(len(masks), []).append((kept[0], key))
+            by_n.setdefault(child.n, []).append((kept[0], canonical_key(child)))
     ties = 0
     for pairs in by_n.values():
         pairs.sort(key=itemgetter(0))
@@ -206,6 +213,43 @@ def test_generation_keys_order_like_canonical_keys(corpus_by_n):
             assert (flat == next_flat) == (key == next_key)
             ties += flat == next_flat
     assert sorted(by_n) == list(range(2, 11)) and ties > 0
+
+
+def test_removable_matches_a_connectivity_search(corpus_by_n):
+    # Every vertex of every class with n <= 9, the lone vertex of n = 1
+    # included.
+    checked = 0
+    for n in range(1, 10):
+        for g in corpus_by_n[n]:
+            for v in range(n):
+                rest, _ = g.without_vertex(v)
+                assert enumeration._removable(g._adj, v) == is_connected(rest), (g.edges, v)
+                checked += 1
+    assert checked == 7036
+
+
+def test_invariants_pack_degree_and_sorted_neighbor_degrees(corpus_by_n):
+    # The definition, on the classes and on random graphs of any degree:
+    # each packed int unpacks to (degree, neighbor degrees sorted
+    # descending), and the ints order like those tuples.
+    rnd = random.Random(5)
+    graphs = [g for n in range(1, 10) for g in corpus_by_n[n]]
+    for _ in range(300):
+        n = rnd.randint(1, 12)
+        p = rnd.random()
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p]))
+    assert max(max(map(len, g._adj)) for g in graphs) > 7
+    for g in graphs:
+        degs = [len(vs) for vs in g._adj]
+        want = [
+            (d, tuple(sorted((degs[u] for u in vs), reverse=True)))
+            for d, vs in zip(degs, g._adj)
+        ]
+        inv, top = enumeration._invariants(g._adj)
+        assert top == max(3, *degs)
+        assert [enumeration._unpack(key, top) for key in inv] == want, g.edges
+        for a, b in combinations(range(g.n), 2):
+            assert (inv[a] < inv[b]) == (want[a] < want[b]), g.edges
 
 
 def test_generation_work_is_pinned(sweep_generation):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -217,18 +218,23 @@ def _assert_same_graph(h, ref):
 
 
 def test_trusted_constructions_equal_validated_ones(corpus_by_n):
-    # parse_graph6, the enumerator's _graph and unpickling skip the checks
-    # of Graph(n, edges); each must build exactly the graph it would.
+    # parse_graph6, unpickling and the enumerator's levels, which take
+    # _relabelled's output as it is, skip the checks of Graph(n, edges);
+    # each must build exactly the graph they would.
     graphs = list(connected_upto(corpus_by_n, 10))
     graphs += [random_subcubic(1 + seed * 799 // 299, seed) for seed in range(300)]
+    rnd = random.Random(0)
     for g in graphs:
         ref = Graph(g.n, sorted(g.edges))
-        for h in (
-            parse_graph6(emit_graph6(g)),
-            enumeration._graph(tuple(g.adjacency_masks())),
-            pickle.loads(pickle.dumps(g)),
-        ):
+        for h in (parse_graph6(emit_graph6(g)), pickle.loads(pickle.dumps(g))):
             _assert_same_graph(h, ref)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        position = [0] * g.n
+        for i, v in enumerate(order):
+            position[v] = i
+        h = Graph._from_adjacency(enumeration._relabelled(g._adj, tuple(order)))
+        _assert_same_graph(h, relabel(g, position))
     path = Graph(100, [(i, i + 1) for i in range(99)])
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     long_prefix = ((emit_graph6(path), path), (b"~??Bw", triangle), (b"~~?????Bw", triangle))
