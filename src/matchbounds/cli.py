@@ -41,9 +41,11 @@ from .graphs import (
     MAX_GRAPH6_ORDER,
     Graph,
     NotSubcubicError,
+    _is_emitted_form,
     degree_profile,
     emit_graph6,
     iter_graph6_lines,
+    parse_graph6,
 )
 from .matching import nu
 from .polytope import (
@@ -110,13 +112,14 @@ def _int_in(low: int, high: int | None = None, hint: str = "") -> Callable[[str]
     return integer
 
 
-def _corpus(args) -> tuple[str, Iterator[Graph]]:
-    """Resolve the graph source flags into (description, graph stream)."""
+def _corpus(args) -> tuple[str, Iterator[Graph | bytes]]:
+    """Resolve the graph source flags into (description, stream); a
+    ``--file`` stream holds graph6 lines, for ``_decode``."""
     if args.enumerate is not None:
         cfg = EnumerationConfig(max_n=args.enumerate)
         return f"enumerate<={args.enumerate}", enumerate_subcubic(cfg)
     if args.file is not None:
-        def stream() -> Iterator[Graph]:
+        def stream() -> Iterator[bytes]:
             with open(args.file, "rb") as fh:
                 yield from iter_graph6_lines(fh)
         return args.file, stream()
@@ -130,11 +133,24 @@ def _corpus(args) -> tuple[str, Iterator[Graph]]:
     return f"random x{args.random} n={size} seed={seed}", rand_stream()
 
 
+def _decode(item: Graph | bytes) -> tuple[Graph, bytes | None]:
+    """A corpus item as its graph and, for a graph6 line that is the line
+    ``emit_graph6`` writes for that graph, the line itself."""
+    if isinstance(item, Graph):
+        return item, None
+    g = parse_graph6(item)
+    return g, item if _is_emitted_form(item, g.n) else None
+
+
+def _graph6_text(g: Graph, line: bytes | None) -> str:
+    return (emit_graph6(g) if line is None else line).decode("ascii")
+
+
 @contextmanager
 def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
     """Run one corpus sweep under its manifest.
 
-    Yields ``(graph stream, counts)``; the caller adds to ``counts``, which
+    Yields ``(corpus stream, counts)``; the caller adds to ``counts``, which
     the manifest holds.  Any exception, ``KeyboardInterrupt`` included,
     marks the manifest partial, as does a stdout closed before the sweep's
     output is flushed; it is written either way."""
@@ -184,23 +200,26 @@ def _report_line(g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) 
 
 
 def _verify_one(
-    g: Graph, *, scaled: ScaledBounds, names: list[str], as_json: bool, tight_only: bool,
+    item: Graph | bytes, *, scaled: ScaledBounds, names: list[str], as_json: bool,
+    tight_only: bool,
 ) -> tuple[str, int, int] | str:
-    """Check ``g`` against each scaled bound, named by ``names`` (under
-    ``as_json``, names already JSON-escaped).
+    """Check one corpus item, a graph or a ``--file`` line decoded here
+    (in a worker under ``--jobs``), against each scaled bound, named by
+    ``names`` (under ``as_json``, names already JSON-escaped).
 
-    Returns its output lines as one text, with the number of violated and
+    Returns the output lines as one text, with the number of violated and
     of tight bounds; or the line to print when the graph is not subcubic,
     or is disconnected under a flat K.  All work is in integers over the
-    common denominator; graph6 is encoded, and escaped, once per graph
-    and only when a line is printed."""
+    common denominator; the graph6 text, as read or encoded (``_decode``),
+    is made and escaped once per graph and only when a line is printed."""
+    g, line = _decode(item)
     try:
         lhs, values = evaluate_scaled(g, scaled)
     except (NotSubcubicError, NotConnectedError) as exc:
-        return f"skipped {emit_graph6(g).decode('ascii')}: {exc}"
+        return f"skipped {_graph6_text(g, line)}: {exc}"
     shown = [(name, rhs, slack) for name, (rhs, slack) in zip(names, values)
              if slack == 0 or not tight_only]
-    text = emit_graph6(g).decode("ascii") if shown else ""
+    text = _graph6_text(g, line) if shown else ""
     report = _report_line
     if as_json and shown:
         text, report = json.dumps(text), report_json
@@ -342,13 +361,14 @@ def cmd_counterexample(args) -> int:
 
 def cmd_ge(args) -> int:
     with _sweep(args, "ge", {}, ("graphs", "violations")) as (stream, counts):
-        for g in stream:
+        for item in stream:
+            g, line = _decode(item)
             d = gallai_edmonds(g)
             rep = _ge_properties(g, d)
             counts["graphs"] += 1
             if not rep.all_true():
                 counts["violations"] += 1
-            g6 = emit_graph6(g).decode("ascii")
+            g6 = _graph6_text(g, line)
             if args.json:
                 print(json.dumps({
                     "graph": g6,

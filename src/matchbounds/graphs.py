@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -138,30 +137,37 @@ def is_subcubic(g: Graph) -> bool:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Exact degree counts and component count, from one search over the
-    adjacency; rejects non-subcubic input, naming its least vertex of
-    degree > 3."""
+    """Exact degree counts and component count; rejects non-subcubic
+    input, naming its least vertex of degree > 3.  ``bytes.count`` counts
+    the degrees, so the search for components only marks vertices."""
     adj = g._adj
-    counts = [0, 0, 0, 0]
-    seen = [False] * g.n
-    c = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        c += 1
+    n = g.n
+    try:
+        degrees = bytes(map(len, adj))
+    except ValueError:  # a degree above 255
+        raise _degree_error(adj) from None
+    n0, n1, n2, n3 = map(degrees.count, b"\0\1\2\3")
+    if n0 + n1 + n2 + n3 < n:
+        raise _degree_error(adj)
+    seen = [False] * n
+    c = reached = start = 0
+    while reached < n:
+        start = seen.index(False, start)
         seen[start] = True
-        stack = [start]
-        while stack:
-            nb = adj[stack.pop()]
-            if len(nb) > 3:
-                v = next(v for v, nb in enumerate(adj) if len(nb) > 3)
-                raise NotSubcubicError(f"vertex {v} has degree {len(adj[v])} > 3")
-            counts[len(nb)] += 1
-            for w in nb:
+        component = [start]
+        for u in component:  # grows while it is read
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-    return DegreeProfile(n0=counts[0], n1=counts[1], n2=counts[2], n3=counts[3], c=c)
+                    component.append(w)
+        c += 1
+        reached += len(component)
+    return DegreeProfile(n0, n1, n2, n3, c)
+
+
+def _degree_error(adj: tuple[tuple[int, ...], ...]) -> NotSubcubicError:
+    v = next(v for v, nb in enumerate(adj) if len(nb) > 3)
+    return NotSubcubicError(f"vertex {v} has degree {len(adj[v])} > 3")
 
 
 def _component_vertex_sets(g: Graph) -> list[list[int]]:
@@ -205,6 +211,9 @@ _G6_NONZERO = re.compile(rb"[@-~]")
 _ADD_63 = bytes((b + 63) & 255 for b in range(256))
 # The bits set in a body byte, as offsets 0..5 from its top bit.
 _SET_BITS = [[k for k in range(6) if x > 63 and (x - 63) & 32 >> k] for x in range(127)]
+# A body byte as its six bits, and bit b as its pair, for orders up to 62.
+_BIT_CHARS = {x: format(x - 63, "06b") for x in range(63, 127)}
+_PAIRS = tuple((u, v) for v in range(1, 62) for u in range(v))
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
@@ -253,6 +262,17 @@ def emit_graph6(g: Graph) -> bytes:
     return prefix + body.translate(_ADD_63)
 
 
+def _is_emitted_form(line: bytes, n: int) -> bool:
+    """True iff ``line``, which ``parse_graph6`` decoded to a graph of
+    order ``n``, is the line ``emit_graph6`` writes for that graph: the
+    order is within MAX_GRAPH6_ORDER and the line has the short size
+    prefix (1 byte up to n = 62, else 4) and nothing else around it.  As
+    ``parse_graph6`` rejects trailing bytes and nonzero padding bits, the
+    body is then the only encoding of the graph."""
+    prefix = 1 if n <= 62 else 4
+    return n <= MAX_GRAPH6_ORDER and len(line) == prefix + (n * (n - 1) // 2 + 5) // 6
+
+
 def parse_graph6(line: bytes | str) -> Graph:
     """Decode one graph6 line; a ``>>graph6<<`` header prefix is tolerated."""
     data = line.encode("ascii") if isinstance(line, str) else line
@@ -270,28 +290,43 @@ def parse_graph6(line: bytes | str) -> Graph:
     if len(data) > end:
         raise MalformedGraph6Error("trailing bytes after adjacency data", end)
     _check_bytes(data, at, end)
+    pad = 6 * (end - at) - nbits  # low bits of the last byte, zero per the format
+    if pad and (data[end - 1] - 63) & ((1 << pad) - 1):
+        raise MalformedGraph6Error("nonzero padding bits", end - 1)
     adj: list[list[int]] = [[] for _ in range(n)]
     # Bits come in column order, v ascending and u ascending within v, so
     # each list gets its u < v in order and then its w > v in order.
-    for match in _G6_NONZERO.finditer(data, at):
-        i = match.start()
-        base = 6 * (i - at)
-        for k in _SET_BITS[data[i]]:
-            b = base + k
-            if b >= nbits:  # padding bits must be zero per the format
-                raise MalformedGraph6Error("nonzero padding bits", i)
-            v = (1 + isqrt(8 * b + 1)) // 2
-            u = b - v * (v - 1) // 2
+    # A short body is decoded fastest as a string of bits; a long one,
+    # mostly zero bytes, through its nonzero bytes alone.
+    if n <= 62:
+        bits = data[at:].decode("ascii").translate(_BIT_CHARS)
+        b = bits.find("1")
+        while b >= 0:
+            u, v = _PAIRS[b]
             adj[u].append(v)
             adj[v].append(u)
+            b = bits.find("1", b + 1)
+    else:
+        v = top = 0  # v only grows: column v is bits top - v .. top - 1
+        for match in _G6_NONZERO.finditer(data, at):
+            i = match.start()
+            base = 6 * (i - at)
+            for k in _SET_BITS[data[i]]:
+                b = base + k
+                while b >= top:
+                    v += 1
+                    top += v
+                u = b - top + v
+                adj[u].append(v)
+                adj[v].append(u)
     return Graph._from_adjacency(tuple(map(tuple, adj)))
 
 
-def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[Graph]:
-    """Parse a stream of graph6 lines, skipping headers and blanks."""
+def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[bytes]:
+    """The graph6 lines of a stream, stripped, without blank and header
+    lines; ``parse_graph6`` decodes each, a glued header included."""
     for raw in lines:
         data = raw.encode("ascii") if isinstance(raw, str) else raw
         data = data.strip()
-        if not data or data == _G6_HEADER:
-            continue
-        yield parse_graph6(data)
+        if data and data != _G6_HEADER:
+            yield data

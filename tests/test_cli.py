@@ -170,6 +170,22 @@ def test_verify_jobs_deterministic(capsys, tmp_path):
     assert runs[0][2]["graphs"] == 5 and runs[0][2]["invalid"] == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_file_prints_each_graph_in_canonical_form(capsys, tmp_path, jobs):
+    # A triangle with a glued header, with each long size prefix and as
+    # read; K5 with a long prefix.  Each is printed as emit_graph6 writes it.
+    path = tmp_path / "forms.g6"
+    path.write_bytes(b">>graph6<<\n>>graph6<<Bw\n~??Bw\n\n~~?????Bw\nBw\n~??D~{\n")
+    code, out, err = run(capsys, "verify", "--file", str(path), "--bounds", "b1",
+                         "--skip-invalid", "--jobs", jobs)
+    assert code == 0
+    assert out == "graph=Bw bound=b1 nu=1 rhs=1 slack=0 (~0.000000) tight=yes\n" * 4
+    skipped, manifest = err.splitlines()
+    assert skipped == "skipped D~{: vertex 0 has degree 4 > 3"
+    counts = json.loads(manifest)["counts"]
+    assert counts == {"graphs": 4, "violations": 0, "tight": 4, "invalid": 1}
+
+
 _SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
 
@@ -200,8 +216,9 @@ def _run_script(tmp_path, *argv: str) -> tuple[int, str, str]:
 
 
 def test_verify_jobs_stops_at_malformed_line(tmp_path):
-    # The pool's feeder sends the parse error to a worker to re-raise, so
-    # the error must survive pickling or the run never ends.
+    # Under --jobs a worker decodes each line, and the parse error comes
+    # back from it to the parent, so the error must survive pickling or
+    # the run never ends.
     path = tmp_path / "corpus.g6"
     good = [emit_graph6(generate(FamilySpec("G3", t % 5 + 2))) for t in range(200)]
     path.write_bytes(b"\n".join([*good, b"Bo!"]) + b"\n")
@@ -338,12 +355,22 @@ def test_ge_decomposes_once_per_graph(capsys, monkeypatch):
     assert len(calls) == 10
 
 
-def test_verify_encodes_only_printed_graphs(capsys, monkeypatch):
+def test_verify_encodes_only_printed_graphs(capsys, monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, emit_graph6, matchbounds.cli)
     code, out, _ = run(capsys, "verify", "--enumerate", "8", "--bounds", "b4", "--tight-only")
     assert code == 0
     assert len(out.splitlines()) == 2
     assert len(calls) == 2
+    # A --file line already in canonical form is printed as read.
+    lines = [emit_graph6(random_subcubic(n, n)) for n in (1, 2, 13, 62, 63, 100)]
+    path = tmp_path / "canonical.g6"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--bounds", "b4")
+    assert code == 0
+    assert [report.split()[0] for report in out.splitlines()] == [
+        f"graph={line.decode()}" for line in lines]
+    assert calls == []
 
 
 def test_cli_module_runs_as_script(tmp_path):

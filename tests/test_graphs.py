@@ -194,11 +194,14 @@ def test_graph6_order_is_capped():
 def test_iter_graph6_lines_skips_headers_and_blanks():
     from matchbounds.graphs import iter_graph6_lines
 
-    lines = [b">>graph6<<", b"", b"Bw", b"Cs\n"]
-    parsed = list(iter_graph6_lines(lines))
-    assert parsed == [
+    lines = [b">>graph6<<", b"", b"Bw", b" >>graph6<< \r\n", "Cs\n", b">>graph6<<Bw\n"]
+    read = list(iter_graph6_lines(lines))
+    # A glued header is left to parse_graph6, which removes it once.
+    assert read == [b"Bw", b"Cs", b">>graph6<<Bw"]
+    assert list(map(parse_graph6, read)) == [
         Graph(3, [(0, 1), (1, 2), (0, 2)]),
         Graph(4, [(0, 1), (0, 2), (0, 3)]),
+        Graph(3, [(0, 1), (1, 2), (0, 2)]),
     ]
 
 
@@ -240,6 +243,38 @@ def test_trusted_constructions_equal_validated_ones(corpus_by_n):
     long_prefix = ((emit_graph6(path), path), (b"~??Bw", triangle), (b"~~?????Bw", triangle))
     for line, ref in long_prefix:
         _assert_same_graph(parse_graph6(line), ref)
+
+
+def test_graph6_decoding_at_every_order_near_the_prefix_change():
+    # Orders 55..70 take both sides of n = 62, where the size prefix goes
+    # from 1 byte to 4, with graphs of every density; 300 and 2000 take
+    # long bodies.
+    rnd = random.Random(6)
+    graphs = [random_subcubic(n, n) for n in [*range(55, 71), 300, 2000]]
+    for n in [*range(55, 71), 300, 2000]:
+        m = rnd.randint(0, n * (n - 1) // 2) if n <= 70 else 2 * n
+        pairs = ((rnd.randrange(n), rnd.randrange(n)) for _ in range(m))
+        graphs.append(Graph(n, [(u, v) for u, v in pairs if u != v]))
+    for g in graphs:
+        _assert_same_graph(parse_graph6(emit_graph6(g)), Graph(g.n, sorted(g.edges)))
+
+
+@pytest.mark.parametrize("n", [62, 63])
+def test_graph6_nonzero_padding_keeps_its_message_and_offset(n):
+    # n = 62 has 1891 bits and 5 padding bits; n = 63, 1953 bits and 3.
+    line = bytearray(emit_graph6(Graph(n, [(0, n - 1)])))
+    line[-1] += 1  # the lowest bit of the last byte is padding
+    with pytest.raises(MalformedGraph6Error) as exc:
+        parse_graph6(bytes(line))
+    offset = len(line) - 1
+    assert str(exc.value) == f"nonzero padding bits (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_degree_profile_names_a_degree_above_255():
+    star = Graph(302, [(1, v) for v in range(2, 302)] + [(0, 1)])
+    with pytest.raises(NotSubcubicError, match=r"^vertex 1 has degree 301 > 3$"):
+        degree_profile(star)
 
 
 @st.composite
