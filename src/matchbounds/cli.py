@@ -41,11 +41,10 @@ from .graphs import (
     MAX_GRAPH6_ORDER,
     Graph,
     NotSubcubicError,
-    _is_emitted_form,
     degree_profile,
     emit_graph6,
     iter_graph6_lines,
-    parse_graph6,
+    read_graph6_line,
 )
 from .matching import nu
 from .polytope import (
@@ -136,10 +135,7 @@ def _corpus(args) -> tuple[str, Iterator[Graph | bytes]]:
 def _decode(item: Graph | bytes) -> tuple[Graph, bytes | None]:
     """A corpus item as its graph and, for a graph6 line that is the line
     ``emit_graph6`` writes for that graph, the line itself."""
-    if isinstance(item, Graph):
-        return item, None
-    g = parse_graph6(item)
-    return g, item if _is_emitted_form(item, g.n) else None
+    return (item, None) if isinstance(item, Graph) else read_graph6_line(item)
 
 
 def _graph6_text(g: Graph, line: bytes | None) -> str:

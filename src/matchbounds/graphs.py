@@ -211,9 +211,6 @@ _G6_NONZERO = re.compile(rb"[@-~]")
 _ADD_63 = bytes((b + 63) & 255 for b in range(256))
 # The bits set in a body byte, as offsets 0..5 from its top bit.
 _SET_BITS = [[k for k in range(6) if x > 63 and (x - 63) & 32 >> k] for x in range(127)]
-# A body byte as its six bits, and bit b as its pair, for orders up to 62.
-_BIT_CHARS = {x: format(x - 63, "06b") for x in range(63, 127)}
-_PAIRS = tuple((u, v) for v in range(1, 62) for u in range(v))
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
@@ -242,6 +239,17 @@ def _check_bytes(data: bytes, start: int, end: int) -> None:
         raise MalformedGraph6Error(f"invalid graph6 byte {data[bad.start()]}", bad.start())
 
 
+def _size_prefix(n: int) -> bytes:
+    """The shortest size prefix N(n): one byte up to n = 62, else "~" and
+    3 sextets; the one ``emit_graph6`` writes."""
+    return bytes([n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]).translate(_ADD_63)
+
+
+def _body_length(n: int) -> int:
+    """Bytes of adjacency data after the size prefix, padding included."""
+    return (n * (n - 1) // 2 + 5) // 6
+
+
 def emit_graph6(g: Graph) -> bytes:
     """Encode adjacency as a graph6 line (no trailing newline).
 
@@ -249,9 +257,8 @@ def emit_graph6(g: Graph) -> bytes:
     n = g.n
     if n > MAX_GRAPH6_ORDER:
         raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
-    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]  # "~" + 3 sextets
-    prefix = bytes(size).translate(_ADD_63)
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    prefix = _size_prefix(n)
+    body = bytearray(_body_length(n))
     for v, nb in enumerate(g._adj):
         col = v * (v - 1) // 2
         for u in nb:
@@ -262,17 +269,6 @@ def emit_graph6(g: Graph) -> bytes:
     return prefix + body.translate(_ADD_63)
 
 
-def _is_emitted_form(line: bytes, n: int) -> bool:
-    """True iff ``line``, which ``parse_graph6`` decoded to a graph of
-    order ``n``, is the line ``emit_graph6`` writes for that graph: the
-    order is within MAX_GRAPH6_ORDER and the line has the short size
-    prefix (1 byte up to n = 62, else 4) and nothing else around it.  As
-    ``parse_graph6`` rejects trailing bytes and nonzero padding bits, the
-    body is then the only encoding of the graph."""
-    prefix = 1 if n <= 62 else 4
-    return n <= MAX_GRAPH6_ORDER and len(line) == prefix + (n * (n - 1) // 2 + 5) // 6
-
-
 def parse_graph6(line: bytes | str) -> Graph:
     """Decode one graph6 line; a ``>>graph6<<`` header prefix is tolerated."""
     data = line.encode("ascii") if isinstance(line, str) else line
@@ -281,7 +277,7 @@ def parse_graph6(line: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     n, at = _decode_size(data)
     nbits = n * (n - 1) // 2
-    end = at + (nbits + 5) // 6
+    end = at + _body_length(n)
     if len(data) < end:
         raise MalformedGraph6Error(
             f"need {end - at} adjacency bytes for n={n}, got {len(data) - at}",
@@ -295,36 +291,39 @@ def parse_graph6(line: bytes | str) -> Graph:
         raise MalformedGraph6Error("nonzero padding bits", end - 1)
     adj: list[list[int]] = [[] for _ in range(n)]
     # Bits come in column order, v ascending and u ascending within v, so
-    # each list gets its u < v in order and then its w > v in order.
-    # A short body is decoded fastest as a string of bits; a long one,
-    # mostly zero bytes, through its nonzero bytes alone.
-    if n <= 62:
-        bits = data[at:].decode("ascii").translate(_BIT_CHARS)
-        b = bits.find("1")
-        while b >= 0:
-            u, v = _PAIRS[b]
+    # each list gets its u < v in order and then its w > v in order, and
+    # the column of each set bit is found by moving v forward.
+    v = top = 0  # column v is bits top - v .. top - 1
+    for match in _G6_NONZERO.finditer(data, at):
+        i = match.start()
+        base = 6 * (i - at)
+        for k in _SET_BITS[data[i]]:
+            b = base + k
+            while b >= top:
+                v += 1
+                top += v
+            u = b - top + v
             adj[u].append(v)
             adj[v].append(u)
-            b = bits.find("1", b + 1)
-    else:
-        v = top = 0  # v only grows: column v is bits top - v .. top - 1
-        for match in _G6_NONZERO.finditer(data, at):
-            i = match.start()
-            base = 6 * (i - at)
-            for k in _SET_BITS[data[i]]:
-                b = base + k
-                while b >= top:
-                    v += 1
-                    top += v
-                u = b - top + v
-                adj[u].append(v)
-                adj[v].append(u)
     return Graph._from_adjacency(tuple(map(tuple, adj)))
+
+
+def read_graph6_line(line: bytes) -> tuple[Graph, bytes | None]:
+    """Decode a stripped graph6 line into its graph and, when the line is
+    the one ``emit_graph6`` writes for that graph, the line itself (else
+    None).  That holds iff n <= MAX_GRAPH6_ORDER and the line is the
+    shortest size prefix and the body, nothing else: ``parse_graph6``
+    rejects trailing bytes and nonzero padding bits, so the body is then
+    the only encoding of the graph."""
+    g = parse_graph6(line)
+    n = g.n
+    emitted = n <= MAX_GRAPH6_ORDER and len(line) == len(_size_prefix(n)) + _body_length(n)
+    return g, line if emitted else None
 
 
 def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[bytes]:
     """The graph6 lines of a stream, stripped, without blank and header
-    lines; ``parse_graph6`` decodes each, a glued header included."""
+    lines; ``read_graph6_line`` decodes each, a glued header included."""
     for raw in lines:
         data = raw.encode("ascii") if isinstance(raw, str) else raw
         data = data.strip()
