@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 from .families import (
@@ -251,25 +251,3 @@ def counterexample(
         raise RuntimeError(f"certificate {spec} has slack {slack}, not negative")
     return spec, g, BoundReport(lhs=lhs, rhs=rhs, slack=slack, tight=False)
 
-
-def fraction_text(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for a positive ``den``, without building
-    the Fraction."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def report_json(graph_json: str, bound_json: str, lhs: int, rhs: int, slack: int,
-                den: int) -> str:
-    """The stable JSON schema for one evaluated bound, from its rhs and
-    slack over the denominator ``den``: the text of ``json.dumps`` of the
-    object with keys graph, bound, nu, rhs, slack, tight.  The graph6 text
-    and the bound name come already escaped, as ``json.dumps`` of each, so
-    a caller escapes each once however many lines repeat it; a fraction's
-    text never needs escaping."""
-    return (
-        f'{{"graph": {graph_json}, "bound": {bound_json}, "nu": {lhs}, '
-        f'"rhs": "{fraction_text(rhs, den)}", "slack": "{fraction_text(slack, den)}", '
-        f'"tight": {"true" if slack == 0 else "false"}}}'
-    )

@@ -18,6 +18,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
@@ -30,8 +31,6 @@ from .bounds import (
     valid_constant,
     counterexample,
     evaluate_scaled,
-    fraction_text,
-    report_json,
     scale_bounds,
     sharp_bounds,
 )
@@ -192,6 +191,29 @@ def _report_line(g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) 
         f"graph={g6} bound={bound} nu={lhs} "
         f"rhs={fraction_text(rhs, den)} slack={fraction_text(slack, den)} "
         f"(~{_approx(slack / den)}) tight={'yes' if slack == 0 else 'no'}"
+    )
+
+
+def fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, without building
+    the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def report_json(graph_json: str, bound_json: str, lhs: int, rhs: int, slack: int,
+                den: int) -> str:
+    """The stable JSON schema for one evaluated bound, from its rhs and
+    slack over the denominator ``den``: the text of ``json.dumps`` of the
+    object with keys graph, bound, nu, rhs, slack, tight.  The graph6 text
+    and the bound name come already escaped, as ``json.dumps`` of each, so
+    a caller escapes each once however many lines repeat it; a fraction's
+    text never needs escaping."""
+    return (
+        f'{{"graph": {graph_json}, "bound": {bound_json}, "nu": {lhs}, '
+        f'"rhs": "{fraction_text(rhs, den)}", "slack": "{fraction_text(slack, den)}", '
+        f'"tight": {"true" if slack == 0 else "false"}}}'
     )
 
 

@@ -34,8 +34,9 @@ class Graph:
     neighbours as a sorted tuple.  ``edges`` and everything else is read
     off it.  ``Graph(n, edges)`` validates and normalises its input; the
     trusted ``_from_adjacency`` takes an adjacency tuple as it is, for the
-    decoders that produce one already sorted.  Instances are immutable
-    after construction, so concurrent shared use is safe.
+    decoders and for ``induced``, which produce one already sorted.
+    Instances are immutable after construction, so concurrent shared use
+    is safe.
     """
 
     __slots__ = ("n", "_adj")
@@ -85,16 +86,26 @@ class Graph:
     # -- derived graphs ------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``keep``; returns (graph, new-to-old index map)."""
+        """Induced subgraph on ``keep``; returns (graph, new-to-old index map).
+
+        Renumbering by rank keeps each neighbour tuple sorted, so the
+        subgraph is built through ``_from_adjacency``."""
         old = sorted(set(keep))
+        if old:
+            self._check_vertex(old[0])
+            self._check_vertex(old[-1])
         pos = {o: i for i, o in enumerate(old)}
-        edges = [
-            (pos[u], pos[v]) for u in old for v in self._adj[u] if u < v and v in pos
-        ]
-        return Graph(len(old), edges), tuple(old)
+        adj = self._adj
+        sub = tuple(tuple(pos[w] for w in adj[u] if w in pos) for u in old)
+        return Graph._from_adjacency(sub), tuple(old)
 
     def without_vertex(self, v: int) -> tuple["Graph", tuple[int, ...]]:
+        self._check_vertex(v)
         return self.induced(u for u in range(self.n) if u != v)
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     # -- value semantics -----------------------------------------------
 
@@ -139,19 +150,41 @@ def is_subcubic(g: Graph) -> bool:
 def degree_profile(g: Graph) -> DegreeProfile:
     """Exact degree counts and component count; rejects non-subcubic
     input, naming its least vertex of degree > 3.  ``bytes.count`` counts
-    the degrees, so the search for components only marks vertices."""
+    the degrees."""
     adj = g._adj
-    n = g.n
     try:
         degrees = bytes(map(len, adj))
     except ValueError:  # a degree above 255
         raise _degree_error(adj) from None
     n0, n1, n2, n3 = map(degrees.count, b"\0\1\2\3")
-    if n0 + n1 + n2 + n3 < n:
+    if n0 + n1 + n2 + n3 < g.n:
         raise _degree_error(adj)
-    seen = [False] * n
-    c = reached = start = 0
-    while reached < n:
+    return DegreeProfile(n0, n1, n2, n3, len(_components(adj)))
+
+
+def _degree_error(adj: tuple[tuple[int, ...], ...]) -> NotSubcubicError:
+    v = next(v for v, nb in enumerate(adj) if len(nb) > 3)
+    return NotSubcubicError(f"vertex {v} has degree {len(adj[v])} > 3")
+
+
+def _components(
+    adj: tuple[tuple[int, ...], ...], keep: Iterable[int] | None = None
+) -> list[list[int]]:
+    """The components of the graph with adjacency tuple ``adj``, or of its
+    subgraph induced on ``keep`` (vertices of ``adj``), as vertex lists in
+    ``adj``'s labels.  The lists come in order of their least vertex, and
+    each starts with it; the rest is in search order."""
+    if keep is None:
+        seen = [False] * len(adj)
+        left = len(adj)
+    else:
+        seen = [True] * len(adj)
+        for v in keep:
+            seen[v] = False
+        left = seen.count(False)
+    out = []
+    start = 0
+    while left:
         start = seen.index(False, start)
         seen[start] = True
         component = [start]
@@ -160,39 +193,13 @@ def degree_profile(g: Graph) -> DegreeProfile:
                 if not seen[w]:
                     seen[w] = True
                     component.append(w)
-        c += 1
-        reached += len(component)
-    return DegreeProfile(n0, n1, n2, n3, c)
-
-
-def _degree_error(adj: tuple[tuple[int, ...], ...]) -> NotSubcubicError:
-    v = next(v for v, nb in enumerate(adj) if len(nb) > 3)
-    return NotSubcubicError(f"vertex {v} has degree {len(adj[v])} > 3")
-
-
-def _component_vertex_sets(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comp.sort()
-        out.append(comp)
+        out.append(component)
+        left -= len(component)
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_component_vertex_sets(g)) == 1
+    return g.n <= 1 or len(_components(g._adj)) == 1
 
 
 # -- graph6 ---------------------------------------------------------------

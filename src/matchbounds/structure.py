@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _component_vertex_sets
+from .graphs import Graph, _components
 from .matching import (
     _even_vertices,
     _matching_array,
@@ -84,15 +84,6 @@ def _partition(g: Graph, A: frozenset[int]) -> GEDecomposition:
     return GEDecomposition(A=A, B=B, C=C)
 
 
-def _a_component_sets(g: Graph, A: frozenset[int]) -> list[list[int]]:
-    """Vertex sets of the components of the subgraph induced on A,
-    in original vertex labels."""
-    sub, new_to_old = g.induced(A)
-    return [
-        [new_to_old[v] for v in comp] for comp in _component_vertex_sets(sub)
-    ]
-
-
 def _has_neighborhood_surplus(g: Graph, B: frozenset[int], a_comps: list[list[int]]) -> bool:
     """True iff every nonempty X within B touches more than |X| components
     of the A-side subgraph.
@@ -150,14 +141,10 @@ def verify_ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
 def _ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
     """The three structural guarantees, for a ``d`` already known to be
     the decomposition of ``g``."""
-    a_comps = _a_component_sets(g, d.A)
-    hypo = all(
-        is_hypomatchable(g.induced(comp)[0]) for comp in a_comps
-    )
-    c_sub, _ = g.induced(d.C)
+    a_comps = _components(g._adj, d.A)
+    hypo = all(is_hypomatchable(g.induced(comp)[0]) for comp in a_comps)
     perfect = all(
-        has_perfect_matching(c_sub.induced(comp)[0])
-        for comp in _component_vertex_sets(c_sub)
+        has_perfect_matching(g.induced(comp)[0]) for comp in _components(g._adj, d.C)
     )
     surplus = _has_neighborhood_surplus(g, d.B, a_comps)
     return GEPropertyReport(

@@ -23,11 +23,10 @@ from matchbounds.bounds import (
     evaluate_bound,
     evaluate_bounds,
     evaluate_scaled,
-    fraction_text,
-    report_json,
     scale_bounds,
     sharp_bounds,
 )
+from matchbounds.cli import fraction_text, report_json
 from matchbounds.families import (
     FamilySpec,
     closed_nu,

@@ -346,6 +346,28 @@ def test_verify_validates_no_graph(capsys, monkeypatch, tmp_path):
     assert built == []
 
 
+def test_ge_validates_only_incidence_graphs(capsys, monkeypatch, tmp_path):
+    # The Gallai-Edmonds checks take their component subgraphs through the
+    # trusted constructor; the one validated Graph per graph is the
+    # incidence graph of B and the A-components, built when B is nonempty.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"".join(
+        emit_graph6(random_subcubic(13 + seed % 28, seed)) + b"\n" for seed in range(40)
+    ))
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    code, out, _ = run(capsys, "ge", "--file", str(corpus), "--json")
+    assert code == 0
+    with_b = sum(json.loads(line)["B"] > 0 for line in out.splitlines())
+    assert 0 < with_b < 40
+    assert len(built) == with_b
+
 def test_ge_decomposes_once_per_graph(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, matchbounds.structure.gallai_edmonds,
                          matchbounds.cli, matchbounds.structure)

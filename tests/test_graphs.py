@@ -19,7 +19,7 @@ from matchbounds.graphs import (
     Graph,
     MalformedGraph6Error,
     NotSubcubicError,
-    _component_vertex_sets,
+    _components,
     degree_profile,
     emit_graph6,
     is_connected,
@@ -109,9 +109,11 @@ def test_profile_counts_sum_to_order(corpus_by_n):
 
 def test_components():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert _component_vertex_sets(two_triangles) == [[0, 1, 2], [3, 4, 5]]
-    assert _component_vertex_sets(C5) == [[0, 1, 2, 3, 4]]
-    assert _component_vertex_sets(Graph(0)) == []
+    assert _components(two_triangles._adj) == [[0, 1, 2], [3, 4, 5]]
+    assert _components(C5._adj) == [[0, 1, 4, 2, 3]]
+    assert _components(Graph(0)._adj) == []
+    assert _components(C5._adj, [4, 1, 3]) == [[1], [3, 4]]
+    assert _components(C5._adj, ()) == []
     assert is_connected(C5) and is_connected(Graph(1)) and is_connected(Graph(0))
     assert not is_connected(two_triangles)
 
@@ -119,7 +121,57 @@ def test_components():
 def test_components_ordered_by_smallest_original_index():
     # Triangle on {0,1,2} comes before the edge on {4,5}; vertex 3 isolated.
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])
-    assert _component_vertex_sets(g) == [[0, 1, 2], [3], [4, 5]]
+    assert _components(g._adj) == [[0, 1, 2], [3], [4, 5]]
+    assert _components(g._adj, {5, 4, 2, 1}) == [[1, 2], [4, 5]]
+
+
+def _components_by_union_find(g: Graph, keep) -> list[list[int]]:
+    """Components of the subgraph induced on ``keep``, sorted lists ordered
+    by least vertex: union-find over the edge set, no search."""
+    parent = {v: v for v in keep}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        if u in parent and v in parent:
+            parent[root(u)] = root(v)
+    groups: dict[int, list[int]] = {}
+    for v in sorted(parent):
+        groups.setdefault(root(v), []).append(v)
+    return list(groups.values())
+
+
+def test_components_against_union_find(corpus_by_n):
+    # On every class with n <= 9 and on seeded random subcubic graphs,
+    # whole and induced on seeded random vertex subsets (often
+    # disconnected): the same vertex sets, in order of least vertex, each
+    # list led by its least vertex.
+    rnd = random.Random(3)
+    graphs = [*connected_upto(corpus_by_n, 9), *(random_subcubic(10 + s, s) for s in range(200))]
+    checked = 0
+    for g in graphs:
+        subsets = [range(g.n)] + [rnd.sample(range(g.n), rnd.randrange(g.n + 1)) for _ in range(3)]
+        for keep in subsets:
+            comps = _components(g._adj, keep)
+            assert [sorted(c) for c in comps] == _components_by_union_find(g, keep), (g, keep)
+            assert all(c[0] == min(c) for c in comps)
+            checked += len(comps) > 1
+        assert _components(g._adj) == _components(g._adj, range(g.n))
+    assert checked > 1000
+
+
+def test_induced_rejects_vertices_out_of_range():
+    for keep in ([-1, 0], [4, -1], [0, 5], [5]):
+        with pytest.raises(ValueError, match=f"vertex {-1 if -1 in keep else 5} out of range"):
+            C5.induced(keep)
+    for v in (-1, 5):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+            C5.without_vertex(v)
+    # A repeated vertex is kept once.
+    assert C5.induced([3, 0, 3, 4, 0]) == (Graph(3, [(0, 2), (1, 2)]), (0, 3, 4))
 
 
 def test_spanning_tree_degree_surplus(corpus_by_n):
@@ -237,9 +289,9 @@ def _assert_same_graph(h, ref):
 
 
 def test_trusted_constructions_equal_validated_ones(corpus_by_n):
-    # parse_graph6, unpickling and the enumerator's levels, which take
-    # _relabelled's output as it is, skip the checks of Graph(n, edges);
-    # each must build exactly the graph they would.
+    # parse_graph6, unpickling, the enumerator's levels, which take
+    # _relabelled's output as it is, and induced skip the checks of
+    # Graph(n, edges); each must build exactly the graph they would.
     graphs = list(connected_upto(corpus_by_n, 10))
     graphs += [random_subcubic(1 + seed * 799 // 299, seed) for seed in range(300)]
     rnd = random.Random(0)
@@ -254,6 +306,13 @@ def test_trusted_constructions_equal_validated_ones(corpus_by_n):
             position[v] = i
         h = Graph._from_adjacency(enumeration._relabelled(g._adj, tuple(order)))
         _assert_same_graph(h, relabel(g, position))
+        keep = order[:rnd.randrange(g.n + 1)] * 2
+        h, new_to_old = g.induced(keep)
+        assert new_to_old == tuple(sorted(set(keep)))
+        new = {old: i for i, old in enumerate(new_to_old)}
+        _assert_same_graph(h, Graph(len(new), [
+            (new[u], new[v]) for u, v in g.edges if u in new and v in new
+        ]))
     path = Graph(100, [(i, i + 1) for i in range(99)])
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     long_prefix = ((emit_graph6(path), path), (b"~??Bw", triangle), (b"~~?????Bw", triangle))

@@ -12,7 +12,7 @@ import matchbounds.matching
 import matchbounds.structure
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, closed_nu, generate
-from matchbounds.graphs import Graph
+from matchbounds.graphs import Graph, _components
 from matchbounds.matching import (
     _even_vertices,
     has_perfect_matching,
@@ -21,7 +21,6 @@ from matchbounds.matching import (
 from matchbounds.structure import (
     DecompositionMismatchError,
     GEDecomposition,
-    _a_component_sets,
     _has_neighborhood_surplus,
     gallai_edmonds,
     verify_ge_properties,
@@ -131,7 +130,7 @@ def test_ge_property_checks_match_their_definitions(corpus_by_n):
             splits.append(({v for v in range(g.n) if side[v] == 0},
                            frozenset(v for v in range(g.n) if side[v] == 1)))
         for A, B in splits:
-            a_comps = _a_component_sets(g, A)
+            a_comps = _components(g._adj, A)
             surplus = _has_neighborhood_surplus(g, B, a_comps)
             assert surplus == _surplus_by_definition(g, B, a_comps), (g, A, B)
             verdicts["surplus", surplus] += 1
@@ -190,28 +189,7 @@ def test_each_b_vertex_sees_two_a_components(corpus_by_n):
         d = gallai_edmonds(g)
         if not d.B:
             continue
-        comp_of = _component_index_by_original_label(g, d.A)
+        comp_of = {v: i for i, comp in enumerate(_components(g._adj, d.A)) for v in comp}
         for b in d.B:
             touched = {comp_of[w] for w in g.neighbors(b) if w in comp_of}
             assert len(touched) >= 2, (g, b)
-
-
-def _component_index_by_original_label(g: Graph, A: frozenset[int]) -> dict[int, int]:
-    sub, new_to_old = g.induced(A)
-    seen: dict[int, int] = {}
-    idx = 0
-    visited = set()
-    for start in range(sub.n):
-        if start in visited:
-            continue
-        stack = [start]
-        visited.add(start)
-        while stack:
-            u = stack.pop()
-            seen[new_to_old[u]] = idx
-            for w in sub.neighbors(u):
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        idx += 1
-    return seen
