@@ -368,6 +368,7 @@ def test_ge_validates_only_incidence_graphs(capsys, monkeypatch, tmp_path):
     assert 0 < with_b < 40
     assert len(built) == with_b
 
+
 def test_ge_decomposes_once_per_graph(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, matchbounds.structure.gallai_edmonds,
                          matchbounds.cli, matchbounds.structure)

@@ -164,8 +164,8 @@ def test_components_against_union_find(corpus_by_n):
 
 
 def test_induced_rejects_vertices_out_of_range():
-    for keep in ([-1, 0], [4, -1], [0, 5], [5]):
-        with pytest.raises(ValueError, match=f"vertex {-1 if -1 in keep else 5} out of range"):
+    for keep, bad in (([-1, 0], -1), ([4, -1], -1), ([0, 5], 5), ([5], 5)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
             C5.induced(keep)
     for v in (-1, 5):
         with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
