@@ -132,8 +132,8 @@ def _corpus(args) -> tuple[str, Iterator[Graph | bytes]]:
 
 
 def _decode(item: Graph | bytes) -> tuple[Graph, bytes | None]:
-    """A corpus item as its graph and, for a graph6 line that is the line
-    ``emit_graph6`` writes for that graph, the line itself."""
+    """A corpus item as its graph and, for a graph6 line, the text
+    ``emit_graph6`` writes for that graph (``read_graph6_line``)."""
     return (item, None) if isinstance(item, Graph) else read_graph6_line(item)
 
 

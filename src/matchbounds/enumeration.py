@@ -4,7 +4,7 @@ seeded random subcubic graph sampler for stress tests.
 Canonical labels.  The canonical code of a graph is the lexicographically
 greatest adjacency bitstring over all vertex orderings that list the
 vertices class by class, densest class first, where a vertex's class is
-its (degree, sorted neighbor degrees).  The classes are
+its (degree, sorted neighbor degrees), packed into one int.  The classes are
 isomorphism-invariant, so equal codes mean isomorphic graphs, and the
 dense-first ordering keeps the search frontier tiny on sparse graphs.
 
@@ -55,18 +55,16 @@ lists are its adjacency as it stands, and each kept class is yielded as
 a ``Graph`` with no conversion.  A parent's packed invariants are
 computed once.  A child differs from its parent only at x, at the k
 vertices it joins and at their neighbors, so its lists and invariants
-are copies of the parent's, patched there.  ``_invariants`` packs every
-subcubic graph in one layout, D = 3 and w = 2: a vertex of degree d is
-``(d << 6) + sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4,
-16).  Joining v of parent degree d adds ``(1 << 6) + W[k]`` to v and
-``W[d + 1] - W[d]`` to each parent neighbor of v; x gets ``(k << 6) +
-sum(W[d + 1])`` over the joined v.  Every generated graph has degree at
-most 3, so each 2-bit field counts at most 3 neighbors and the degree
-sits above the fields: the ints order like the (degree, sorted neighbor
-degrees) tuples.  So the generation key, (invariants sorted descending,
-code), sorts and splits a level exactly as ``canonical_key`` does, with
-no unpacking; ``canonical_key`` keeps the tuples, since it accepts any
-degree.
+are copies of the parent's, patched there.  A vertex of degree d packs
+to ``(d << 6) + sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4,
+16) (``_invariants``).  Joining v of parent degree d adds ``(1 << 6) +
+W[k]`` to v and ``W[d + 1] - W[d]`` to each parent neighbor of v; x gets
+``(k << 6) + sum(W[d + 1])`` over the joined v.  The packed int is the
+vertex's class, and the ints order like the (degree, sorted neighbor
+degrees) tuples, so the generation key, (invariants sorted descending,
+code), sorts and splits a level exactly as ``canonical_key`` does.  The
+layout holds for degree <= 3 only, so ``canonical_key`` and
+``canonical_form`` reject other graphs.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, _degree_error, is_subcubic
 
 _HARD_MAX_N = 12
 
@@ -100,50 +98,37 @@ class EnumerationConfig:
             )
 
 
-def _invariants(nbrs) -> tuple[list[int], int]:
-    """Per vertex of the graph with neighbor lists ``nbrs``, (degree,
-    neighbor degrees sorted descending) packed into one int that orders
-    like the tuple; plus D, the maximum degree or 3 if that is larger.
+# What one neighbor of degree d adds to a packed invariant (``_invariants``).
+_W = (0, 1, 4, 16)
 
-    With field width w > D (``_width``), bits w*(d-1).. count the neighbors
-    of degree d and bits w*D.. hold the degree.  Tuples of equal degree
-    have equal length, and sorted sequences of equal length compare like
-    their counts taken from the largest entry down.  Every subcubic graph
-    gets the one layout D = 3, w = 2 that generation patches (``_W``).
-    """
+
+def _invariants(nbrs) -> list[int]:
+    """Per vertex of the subcubic graph with neighbor lists ``nbrs``, its
+    (degree, neighbor degrees sorted descending) packed into one int that
+    orders like the tuple and serves as the vertex's class.  Bits 6.. hold
+    the degree d, bits 2*(d-1).. count the neighbors of degree d: each
+    field counts at most 3, tuples of equal degree have equal length, and
+    sorted sequences of equal length compare like their counts taken from
+    the largest entry down."""
     degs = [len(vs) for vs in nbrs]
-    top = max([3, *degs])
-    w = _width(top)
-    weight = [0] + [1 << (w * (d - 1)) for d in range(1, top + 1)]
-    inv = [
-        (d << (w * top)) + sum(weight[degs[u]] for u in vs) for d, vs in zip(degs, nbrs)
-    ]
-    return inv, top
+    return [(d << 6) + sum(_W[degs[u]] for u in vs) for d, vs in zip(degs, nbrs)]
 
 
-def _width(top: int) -> int:
-    return max(1, top.bit_length())
-
-
-def _unpack(key: int, top: int) -> tuple[int, tuple[int, ...]]:
+def _unpack(key: int) -> tuple[int, tuple[int, ...]]:
     """The (degree, sorted neighbor degrees) tuple packed in ``key``."""
-    w = _width(top)
-    nbrs: list[int] = []
-    for d in range(top, 0, -1):
-        nbrs += [d] * ((key >> (w * (d - 1))) & ((1 << w) - 1))
-    return key >> (w * top), tuple(nbrs)
+    return key >> 6, tuple(d for d in (3, 2, 1) for _ in range(key >> 2 * (d - 1) & 3))
 
 
-def _vertex_classes(inv: list[int]) -> list[int]:
-    """Class index per vertex: rank of its invariant, densest class first."""
-    index = {key: i for i, key in enumerate(sorted(set(inv), reverse=True))}
-    return [index[key] for key in inv]
+def _subcubic_invariants(g: Graph) -> list[int]:
+    if not is_subcubic(g):
+        raise _degree_error(g._adj)
+    return _invariants(g._adj)
 
 
 def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One vertex ordering achieving the canonical code under the vertex
-    classes ``cls``, plus the code, for the graph with neighbor lists
-    ``nbrs``.
+    classes ``cls`` (ints, largest class first), plus the code, for the
+    graph with neighbor lists ``nbrs``.
 
     The code is the lexicographically greatest sequence of adjacency
     chunks (position i: the adjacency of the i-th vertex to the earlier
@@ -164,7 +149,7 @@ def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, 
 
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * n)]
     code: list[int] = []
-    for pos, want in enumerate(sorted(cls)):
+    for pos, want in enumerate(sorted(cls, reverse=True)):
         candidates = members[want]
         best = 0
         winners: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -194,19 +179,20 @@ def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def canonical_key(g: Graph):
-    """Hashable complete isomorphism invariant: (n, profile, code), where
-    the profile lists every vertex's (degree, sorted neighbor degrees),
-    largest first."""
-    inv, top = _invariants(g._adj)
-    _, code = _canonical_order(g._adj, _vertex_classes(inv))
-    unpacked = {key: _unpack(key, top) for key in set(inv)}
-    return (g.n, tuple(unpacked[key] for key in sorted(inv, reverse=True)), code)
+    """Hashable complete isomorphism invariant of a subcubic graph: (n,
+    profile, code), where the profile lists every vertex's (degree, sorted
+    neighbor degrees), largest first.  A vertex of degree > 3 raises
+    ``NotSubcubicError``, as in ``degree_profile``."""
+    inv = _subcubic_invariants(g)
+    _, code = _canonical_order(g._adj, inv)
+    return (g.n, tuple(map(_unpack, sorted(inv, reverse=True))), code)
 
 
 def canonical_form(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    cls = _vertex_classes(_invariants(g._adj)[0])
-    order, _ = _canonical_order(g._adj, cls)
+    """The canonically labeled representative of the subcubic graph g's
+    class; a vertex of degree > 3 raises ``NotSubcubicError``, as in
+    ``degree_profile``."""
+    order, _ = _canonical_order(g._adj, _subcubic_invariants(g))
     return Graph._from_adjacency(_relabelled(g._adj, order))
 
 
@@ -243,14 +229,9 @@ def _individualised_code(nbrs, cls: list[int], v: int) -> tuple[int, ...]:
     """Canonical code with v moved into a class of its own, placed first:
     equal for two vertices exactly when an automorphism maps one onto the
     other."""
-    own = [c + 1 for c in cls]
-    own[v] = 0
+    own = cls[:]
+    own[v] = 1 << 8  # above every packed invariant, the largest being 240
     return _canonical_order(nbrs, own)[1]
-
-
-# What one neighbor of degree d adds to a packed invariant in the layout
-# D = 3, w = 2 of ``_invariants``: bits 2*(d-1).. count degree-d neighbors.
-_W = (0, 1, 4, 16)
 
 
 def _child_state(parent, inv: list[int], joined: tuple[int, ...]):
@@ -299,12 +280,11 @@ def _canonical_child(nbrs, inv: list[int]):
         if any(near[v] < near[x] for v in tied):
             return None
         tied = [v for v in tied if near[v] == near[x]]
-    cls = _vertex_classes(inv)
-    order, code = _canonical_order(nbrs, cls)
+    order, code = _canonical_order(nbrs, inv)
     if tied:
         last = max(tied + [x], key=order.index)
-        if last != x and _individualised_code(nbrs, cls, x) != _individualised_code(
-            nbrs, cls, last
+        if last != x and _individualised_code(nbrs, inv, x) != _individualised_code(
+            nbrs, inv, last
         ):
             return None
     return (tuple(sorted(inv, reverse=True)), code), order
@@ -334,7 +314,7 @@ def _kept_children(parent) -> dict:
     automorphisms, and no other parent can produce them, so a key seen
     before needs no relabelling.
     """
-    inv = _invariants(parent)[0]
+    inv = _invariants(parent)
     found: dict = {}
     for joined in _children(parent):
         nbrs, c_inv = _child_state(parent, inv, joined)

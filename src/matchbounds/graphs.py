@@ -316,16 +316,18 @@ def parse_graph6(line: bytes | str) -> Graph:
 
 
 def read_graph6_line(line: bytes) -> tuple[Graph, bytes | None]:
-    """Decode a stripped graph6 line into its graph and, when the line is
-    the one ``emit_graph6`` writes for that graph, the line itself (else
-    None).  That holds iff n <= MAX_GRAPH6_ORDER and the line is the
-    shortest size prefix and the body, nothing else: ``parse_graph6``
-    rejects trailing bytes and nonzero padding bits, so the body is then
-    the only encoding of the graph."""
+    """Decode a stripped graph6 line into its graph and the text
+    ``emit_graph6`` writes for that graph: the shortest size prefix and
+    the line's body.  ``parse_graph6`` rejects trailing bytes and nonzero
+    padding bits, so the body is the only encoding of the graph, whatever
+    the line's prefix or header.  The text is None when n exceeds
+    MAX_GRAPH6_ORDER, which ``emit_graph6`` refuses."""
     g = parse_graph6(line)
     n = g.n
-    emitted = n <= MAX_GRAPH6_ORDER and len(line) == len(_size_prefix(n)) + _body_length(n)
-    return g, line if emitted else None
+    if n > MAX_GRAPH6_ORDER:
+        return g, None
+    # Not line[-k:], which for an empty body (n <= 1) is the whole line.
+    return g, _size_prefix(n) + line[len(line) - _body_length(n):]
 
 
 def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[bytes]:

@@ -396,6 +396,29 @@ def test_verify_encodes_only_printed_graphs(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_verify_file_encodes_no_graph(capsys, monkeypatch, tmp_path):
+    # A line with a long size prefix or a glued header, a skipped K5 among
+    # them, is printed in emitted form without encoding its graph.
+    k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    graphs = [*(random_subcubic(n, n) for n in (1, 2, 13, 62, 63, 100)), k5]
+    emitted = [emit_graph6(g) for g in graphs]
+    path = tmp_path / "forms.g6"
+    with open(path, "wb") as fh:
+        for g, line in zip(graphs, emitted):
+            body = line[len(line) - (g.n * (g.n - 1) // 2 + 5) // 6:]
+            long_prefix = b"~~" + bytes(63 + (g.n >> s & 63) for s in range(30, -1, -6))
+            fh.write(long_prefix + body + b"\n" + b">>graph6<<" + line + b"\n")
+    calls = _count_calls(monkeypatch, emit_graph6, matchbounds.cli)
+    code, out, err = run(capsys, "verify", "--file", str(path), "--bounds", "b4",
+                         "--skip-invalid")
+    assert code == 0
+    assert [report.split()[0] for report in out.splitlines()] == [
+        f"graph={line.decode()}" for line in emitted[:-1] for _ in range(2)]
+    skipped = f"skipped {emitted[-1].decode()}: vertex 0 has degree 4 > 3"
+    assert err.splitlines()[:2] == [skipped] * 2
+    assert calls == []
+
+
 def test_cli_module_runs_as_script(tmp_path):
     code, out, _ = _run_script(tmp_path, "polytope", "vertices")
     assert code == 0

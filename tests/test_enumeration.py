@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from operator import itemgetter
 
 import pytest
@@ -21,7 +22,14 @@ from matchbounds.enumeration import (
     enumerate_subcubic,
     random_subcubic,
 )
-from matchbounds.graphs import Graph, emit_graph6, is_connected, is_subcubic
+from matchbounds.graphs import (
+    Graph,
+    NotSubcubicError,
+    degree_profile,
+    emit_graph6,
+    is_connected,
+    is_subcubic,
+)
 
 from .conftest import relabel
 
@@ -143,7 +151,7 @@ def _unpruned_kept(parent) -> set:
     found = set()
     for child, _ in _joins(parent):
         nbrs = child._adj
-        inv, _ = enumeration._invariants(nbrs)
+        inv = enumeration._invariants(nbrs)
         removable = [v for v in range(x) if enumeration._removable(nbrs, v)]
         if any(inv[v] < inv[x] for v in removable):
             continue
@@ -152,11 +160,10 @@ def _unpruned_kept(parent) -> set:
         if any(near[v] < near[x] for v in tied):
             continue
         tied = [v for v in tied if near[v] == near[x]]
-        cls = enumeration._vertex_classes(inv)
-        order, _ = enumeration._canonical_order(nbrs, cls)
+        order, _ = enumeration._canonical_order(nbrs, inv)
         last = max(tied + [x], key=order.index)
         code_of = enumeration._individualised_code
-        if last != x and code_of(nbrs, cls, x) != code_of(nbrs, cls, last):
+        if last != x and code_of(nbrs, inv, x) != code_of(nbrs, inv, last):
             continue
         found.add(enumeration._relabelled(nbrs, order))
     return found
@@ -181,7 +188,7 @@ def _small_children(corpus_by_n):
     for n in range(1, 10):
         for g in corpus_by_n[n]:
             parent = g._adj
-            inv = enumeration._invariants(parent)[0]
+            inv = enumeration._invariants(parent)
             children = {joined: child for child, joined in _joins(parent)}
             for joined in enumeration._children(parent):
                 nbrs, c_inv = enumeration._child_state(parent, inv, joined)
@@ -193,7 +200,7 @@ def test_child_state_matches_a_fresh_computation(corpus_by_n):
     # invariants are those computed from it.
     for child, nbrs, inv in _small_children(corpus_by_n):
         assert tuple(tuple(sorted(vs)) for vs in nbrs) == child._adj, child.edges
-        assert inv == enumeration._invariants(child._adj)[0], child.edges
+        assert inv == enumeration._invariants(child._adj), child.edges
 
 
 def test_generation_keys_order_like_canonical_keys(corpus_by_n):
@@ -229,25 +236,20 @@ def test_removable_matches_a_connectivity_search(corpus_by_n):
 
 
 def test_invariants_pack_degree_and_sorted_neighbor_degrees(corpus_by_n):
-    # The definition, on the classes and on random graphs of any degree:
+    # The definition, on the classes and on seeded random subcubic draws:
     # each packed int unpacks to (degree, neighbor degrees sorted
     # descending), and the ints order like those tuples.
     rnd = random.Random(5)
     graphs = [g for n in range(1, 10) for g in corpus_by_n[n]]
-    for _ in range(300):
-        n = rnd.randint(1, 12)
-        p = rnd.random()
-        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p]))
-    assert max(max(map(len, g._adj)) for g in graphs) > 7
+    graphs += [random_subcubic(rnd.randint(1, 40), seed) for seed in range(300)]
     for g in graphs:
         degs = [len(vs) for vs in g._adj]
         want = [
             (d, tuple(sorted((degs[u] for u in vs), reverse=True)))
             for d, vs in zip(degs, g._adj)
         ]
-        inv, top = enumeration._invariants(g._adj)
-        assert top == max(3, *degs)
-        assert [enumeration._unpack(key, top) for key in inv] == want, g.edges
+        inv = enumeration._invariants(g._adj)
+        assert [enumeration._unpack(key) for key in inv] == want, g.edges
         for a, b in combinations(range(g.n), 2):
             assert (inv[a] < inv[b]) == (want[a] < want[b]), g.edges
 
@@ -283,6 +285,125 @@ def test_counts_regression(sweep_corpus_by_n):
     assert {n: len(gs) for n, gs in sweep_corpus_by_n.items()} == _swept(
         EXPECTED_CONNECTED_COUNTS, sweep_corpus_by_n
     )
+
+
+def _labeled_counts(max_n: int) -> tuple[list[int], list[int]]:
+    """(A, L): A[n] counts the labeled graphs on n vertices of maximum
+    degree <= 3, L[n] the connected ones.
+
+    A adds vertices in label order, each joined to up to 3 earlier
+    vertices of degree < 3; the state is how many earlier vertices have
+    degree 0, 1 and 2.  L follows by the exponential formula, splitting
+    off the component of the last vertex: L(n) = A(n) - sum over k < n of
+    C(n - 1, k - 1) L(k) A(n - k)."""
+    a = [1]
+    states = {(0, 0, 0): 1}
+    for _ in range(max_n):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (c0, c1, c2), ways in states.items():
+            for j0, j1, j2 in product(range(4), repeat=3):
+                joined = j0 + j1 + j2
+                if joined > 3 or j0 > c0 or j1 > c1 or j2 > c2:
+                    continue
+                new = [c0 - j0, c1 - j1 + j0, c2 - j2 + j1]
+                if joined < 3:
+                    new[joined] += 1
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + ways * comb(c0, j0) * comb(c1, j1) * comb(c2, j2)
+        states = nxt
+        a.append(sum(states.values()))
+    conn = [0] * (max_n + 1)
+    for n in range(1, max_n + 1):
+        conn[n] = a[n] - sum(comb(n - 1, k - 1) * conn[k] * a[n - k] for k in range(1, n))
+    return a, conn
+
+
+def _isomorphisms(g: Graph, h: Graph, stop: int = 0) -> int:
+    """The number of isomorphisms from the connected graph g onto h of the
+    same order, or ``stop`` once that many are found.  Backtracking in BFS
+    order of g: each vertex maps to an unused neighbor of its BFS parent's
+    image with the same degree and neighbor degrees, and adjacency to
+    every vertex mapped before it must agree."""
+    n = g.n
+
+    def colours(adj):
+        return [(len(vs), sorted(len(adj[u]) for u in vs)) for vs in adj]
+
+    cg, ch = colours(g._adj), colours(h._adj)
+    order, parent = [0], {0: None}
+    for v in order:
+        for u in g._adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    image = [-1] * n
+    used = [False] * n
+    count = 0
+
+    def extend(i: int) -> bool:
+        nonlocal count
+        if i == n:
+            count += 1
+            return count == stop
+        v = order[i]
+        pool = range(n) if parent[v] is None else h._adj[image[parent[v]]]
+        mapped = [image[u] for u in g._adj[v] if image[u] >= 0]
+        for y in pool:
+            if used[y] or ch[y] != cg[v]:
+                continue
+            if sum(used[z] for z in h._adj[y]) != len(mapped):
+                continue
+            if any(z not in h._adj[y] for z in mapped):
+                continue
+            image[v], used[y] = y, True
+            if extend(i + 1):
+                return True
+            image[v], used[y] = -1, False
+        return False
+
+    extend(0)
+    return count
+
+
+def _distance_profile(g: Graph) -> tuple:
+    """Per vertex, how many vertices lie at each distance from it, sorted:
+    equal for isomorphic graphs."""
+    rows = []
+    for root in range(g.n):
+        dist = {root: 0}
+        queue = [root]
+        for v in queue:
+            for u in g._adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        row = [0] * g.n
+        for d in dist.values():
+            row[d] += 1
+        rows.append(tuple(row))
+    return tuple(sorted(rows))
+
+
+def test_class_counts_obey_orbit_stabilizer(corpus_by_n):
+    # Orbit-stabilizer (Harary & Palmer, Graphical Enumeration, 1973): a
+    # class G has n!/|Aut(G)| labelings, so complete, pairwise
+    # non-isomorphic classes sum to L(n).  A missing class and a duplicate
+    # with equal |Aut| cancel in the sum, so the classes are also compared
+    # pairwise, within buckets of equal distance profile.  No canonical
+    # labelling takes part.
+    a, conn = _labeled_counts(10)
+    # Up to n = 4 every graph is subcubic: 1, 1, 4, 38 connected labeled
+    # graphs (OEIS A001187); 2**6 labeled graphs on 4 vertices.
+    assert conn[1:5] == [1, 1, 4, 38] and a[4] == 64
+    for n in range(1, 11):
+        buckets: dict[tuple, list[Graph]] = {}
+        for g in corpus_by_n[n]:
+            buckets.setdefault(_distance_profile(g), []).append(g)
+        for bucket in buckets.values():
+            for g, h in combinations(bucket, 2):
+                assert _isomorphisms(g, h, stop=1) == 0, (g.edges, h.edges)
+        labelings = sum(factorial(n) // _isomorphisms(g, g) for g in corpus_by_n[n])
+        assert labelings == conn[n], n
 
 
 def test_stream_is_duplicate_free(corpus_by_n):
@@ -386,15 +507,12 @@ def test_canonical_key_is_complete_on_corpus(corpus_by_n):
 
 
 def test_canonical_key_profile_beyond_degree_three():
-    # A 5-star with one leaf extended: the packed invariants need 3-bit
-    # fields here, and the key still lists the plain tuples.
+    # A 5-star with one leaf extended: the packed layout holds degree <= 3
+    # only, so both functions refuse it as degree_profile does.
     g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)])
-    n, profile, _ = canonical_key(g)
-    assert n == 7
-    assert profile == (
-        (5, (2, 1, 1, 1, 1)), (2, (5, 1)), (1, (5,)), (1, (5,)), (1, (5,)), (1, (5,)),
-        (1, (2,)),
-    )
+    for function in (canonical_key, canonical_form, degree_profile):
+        with pytest.raises(NotSubcubicError, match=r"^vertex 0 has degree 5 > 3$"):
+            function(g)
 
 
 @settings(max_examples=120, deadline=None)

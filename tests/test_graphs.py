@@ -257,20 +257,27 @@ def test_iter_graph6_lines_skips_headers_and_blanks():
     ]
 
 
-def test_read_graph6_line_returns_the_line_only_in_emitted_form():
+def test_read_graph6_line_returns_the_emitted_text():
     from matchbounds.graphs import read_graph6_line
 
     # Orders on both sides of n = 62, where the emitted prefix grows from
-    # 1 byte to 4.
+    # 1 byte to 4; n <= 1 has an empty body.
     for g in [Graph(0), *(random_subcubic(n, n) for n in (1, 2, 13, 62, 63, 300))]:
         line = emit_graph6(g)
         assert read_graph6_line(line) == (g, line)
+        assert read_graph6_line(b">>graph6<<" + line) == (g, line)
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     for line in (b">>graph6<<Bw", b"~??Bw", b"~~?????Bw"):
-        assert read_graph6_line(line) == (triangle, None)
+        assert read_graph6_line(line) == (triangle, b"Bw")
+    for line, n in ((b"~???", 0), (b"~~??????", 0), (b">>graph6<<~??@", 1)):
+        assert read_graph6_line(line) == (Graph(n), emit_graph6(Graph(n)))
     path = Graph(100, [(i, i + 1) for i in range(99)])
     long_form = b"~~???" + emit_graph6(path)[1:]  # the 8-byte prefix for n = 100
-    assert read_graph6_line(long_form) == (path, None)
+    assert read_graph6_line(long_form) == (path, emit_graph6(path))
+    # Above MAX_GRAPH6_ORDER there is no emitted text.
+    n = MAX_GRAPH6_ORDER + 1
+    line = b"~~???" + bytes([63 + (n >> 12), 63 + (n >> 6 & 63), 63 + (n & 63)])
+    assert read_graph6_line(line + b"?" * ((n * (n - 1) // 2 + 5) // 6)) == (Graph(n), None)
 
 
 def test_graph6_large_order_prefix():
