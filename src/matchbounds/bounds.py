@@ -12,7 +12,9 @@ from typing import Iterable
 
 from .families import (
     _T_START_STEP,
+    MAX_CERTIFIED_ORDER,
     FamilySpec,
+    _check_buildable,
     admissible_t,
     closed_nu,
     family_for_halfspace,
@@ -190,27 +192,20 @@ def _smallest_violating_t(family_id: str, triple: CoefficientTriple, k: Fraction
 
     Slack is strictly decreasing in t for a triple violating the family's
     constraint, so exponential search plus bisection over the admissible
-    arithmetic progression is exact.
+    arithmetic progression is exact.  A probe not yet violated that
+    ``generate`` would refuse ends the search with ``generate``'s error:
+    the order rises with t, so no member it can build serves.
     """
     start, step = _T_START_STEP[family_id]
 
     def slack_at(j: int) -> Fraction:
         return closed_form_slack(FamilySpec(family_id, start + step * j), triple, k)
 
-    # Exponential-profile families overshoot any constant within a few
-    # hundred steps; the linear ones may genuinely need large t.
-    t_cap = 400 if family_id in ("G1", "G2") else 1_000_000_000
     if slack_at(0) < 0:
         return start
     hi = 1
-    while True:
-        if start + step * hi > t_cap:
-            raise ValueError(
-                f"no admissible parameter up to {t_cap} makes {family_id} "
-                f"violate the bound for {triple}; constant too large or wrong family"
-            )
-        if slack_at(hi) < 0:
-            break
+    while slack_at(hi) >= 0:
+        _check_buildable(FamilySpec(family_id, start + step * hi))
         hi *= 2
     lo = hi // 2  # slack(lo) >= 0 here
     while hi - lo > 1:
@@ -243,7 +238,7 @@ def counterexample(
     spec = FamilySpec(fid, t)
     g = generate(spec)
     lhs = closed_nu(spec)
-    if g.n <= 60 and nu(g) != lhs:
+    if g.n <= MAX_CERTIFIED_ORDER and nu(g) != lhs:
         raise RuntimeError("closed-form matching number disagrees with matcher")
     rhs = profile_dot(spec, triple.x3, triple.x2, triple.x1) - k
     slack = lhs - rhs

@@ -35,7 +35,7 @@ from .bounds import (
     sharp_bounds,
 )
 from .enumeration import _HARD_MAX_N, EnumerationConfig, enumerate_subcubic, random_subcubic
-from .families import FAMILY_IDS, FamilySpec, closed_nu, generate
+from .families import FAMILY_IDS, MAX_CERTIFIED_ORDER, FamilySpec, closed_nu, generate
 from .graphs import (
     MAX_GRAPH6_ORDER,
     Graph,
@@ -329,7 +329,7 @@ def cmd_family(args) -> int:
     g = generate(spec)
     if args.stats:
         prof = degree_profile(g)
-        certified = nu(g) if g.n <= 60 else None
+        certified = nu(g) if g.n <= MAX_CERTIFIED_ORDER else None
         status = "certified" if certified is not None else "extrapolated"
         if args.json:
             print(json.dumps({

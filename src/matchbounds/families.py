@@ -28,8 +28,11 @@ _T_START_STEP = {
 FAMILY_IDS = tuple(_T_START_STEP)
 
 # The closed forms describe a member at any t, but ``generate`` refuses to
-# build one with more vertices than this.
+# build one with more than MAX_GENERATED_ORDER vertices.  Up to
+# MAX_CERTIFIED_ORDER vertices, a member's nu is also computed by the
+# matcher and checked against the closed form.
 MAX_GENERATED_ORDER = 2_000_000
+MAX_CERTIFIED_ORDER = 60
 
 
 class InvalidParameterError(ValueError):
@@ -102,17 +105,22 @@ def _pendant_cycle_edges(t: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _check_buildable(spec: FamilySpec) -> None:
+    """Refuse a member with more than ``MAX_GENERATED_ORDER`` vertices."""
+    # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
+    # spares a huge t the evaluation of 2**t.
+    if ((spec.family_id in ("G1", "G2") and spec.t > 64)
+            or family_order(spec) > MAX_GENERATED_ORDER):
+        raise InvalidParameterError(f"{spec.family_id}(t={spec.t}) has more than "
+                                    f"{MAX_GENERATED_ORDER} vertices; too large to build")
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the family member as a concrete graph; one with more than
     ``MAX_GENERATED_ORDER`` vertices is refused before anything is built."""
+    _check_buildable(spec)
     t = spec.t
     fid = spec.family_id
-    # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
-    # spares a huge t the evaluation of 2**t.
-    if (fid in ("G1", "G2") and t > 64) or family_order(spec) > MAX_GENERATED_ORDER:
-        raise InvalidParameterError(
-            f"{fid}(t={t}) has more than {MAX_GENERATED_ORDER} vertices; too large to build"
-        )
     if fid == "G1":
         edges, _ = _cubic_tree_edges(t)
         return Graph(3 * 2 ** (t + 1) - 2, edges)

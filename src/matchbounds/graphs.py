@@ -248,7 +248,10 @@ def _check_bytes(data: bytes, start: int, end: int) -> None:
 
 def _size_prefix(n: int) -> bytes:
     """The shortest size prefix N(n): one byte up to n = 62, else "~" and
-    3 sextets; the one ``emit_graph6`` writes."""
+    3 sextets; the one ``emit_graph6`` writes.  Refuses n above
+    ``MAX_GRAPH6_ORDER`` with ``ValueError``."""
+    if n > MAX_GRAPH6_ORDER:
+        raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
     return bytes([n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]).translate(_ADD_63)
 
 
@@ -262,8 +265,6 @@ def emit_graph6(g: Graph) -> bytes:
 
     Refuses graphs over ``MAX_GRAPH6_ORDER`` vertices with ``ValueError``."""
     n = g.n
-    if n > MAX_GRAPH6_ORDER:
-        raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
     prefix = _size_prefix(n)
     body = bytearray(_body_length(n))
     for v, nb in enumerate(g._adj):
@@ -315,17 +316,15 @@ def parse_graph6(line: bytes | str) -> Graph:
     return Graph._from_adjacency(tuple(map(tuple, adj)))
 
 
-def read_graph6_line(line: bytes) -> tuple[Graph, bytes | None]:
+def read_graph6_line(line: bytes) -> tuple[Graph, bytes]:
     """Decode a stripped graph6 line into its graph and the text
     ``emit_graph6`` writes for that graph: the shortest size prefix and
     the line's body.  ``parse_graph6`` rejects trailing bytes and nonzero
     padding bits, so the body is the only encoding of the graph, whatever
-    the line's prefix or header.  The text is None when n exceeds
-    MAX_GRAPH6_ORDER, which ``emit_graph6`` refuses."""
+    the line's prefix or header.  A graph over ``MAX_GRAPH6_ORDER``
+    vertices is refused with ``emit_graph6``'s ``ValueError``."""
     g = parse_graph6(line)
     n = g.n
-    if n > MAX_GRAPH6_ORDER:
-        return g, None
     # Not line[-k:], which for an empty body (n <= 1) is the whole line.
     return g, _size_prefix(n) + line[len(line) - _body_length(n):]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 
 class TooLargeError(ValueError):
@@ -318,15 +318,15 @@ def has_perfect_matching(g: Graph) -> bool:
 def is_hypomatchable(g: Graph) -> bool:
     """True iff deleting any single vertex leaves a perfect matching.
 
-    Also called factor-critical.  Requires odd order; the empty graph is
-    not hypomatchable.  A disconnected graph of odd order never is:
-    deleting a vertex outside one of its odd components leaves that one
-    unmatched.  A connected graph is factor-critical iff every vertex is
-    missed by some maximum matching (Gallai's lemma; Lovász & Plummer,
-    *Matching Theory*, ch. 3), that is, iff one alternating forest grown
-    from the exposed vertices of a maximum matching makes every vertex
-    even.
+    Also called factor-critical; the empty graph is not.  That holds iff
+    the order is odd, a maximum matching misses exactly one vertex, and
+    every vertex is even in one alternating forest grown from it.  Every
+    maximum matching then misses exactly one vertex, and the even
+    vertices are those that some maximum matching misses (Gallai's lemma;
+    Lovász & Plummer, *Matching Theory*, ch. 3), so G - v has a perfect
+    matching for every v.  A disconnected graph fails the one-miss test.
     """
-    if g.n % 2 == 0 or not is_connected(g):
+    if g.n % 2 == 0:
         return False
-    return len(_even_vertices(g, _matching_array(g))) == g.n
+    mate = _matching_array(g)
+    return mate.count(-1) == 1 and len(_even_vertices(g, mate)) == g.n

@@ -73,7 +73,7 @@ class HalfSpace:
             raise ValueError("half-space normal must be nonzero")
 
     def value(self, x: CoefficientTriple) -> Fraction:
-        return self.a3 * x.x3 + self.a2 * x.x2 + self.a1 * x.x1
+        return _dot(self.normal(), x.as_tuple())
 
     def holds(self, x: CoefficientTriple) -> bool:
         return self.value(x) <= self.b
@@ -135,39 +135,8 @@ def contains(p: Polyhedron, x: CoefficientTriple) -> Membership:
     return Membership(inside=not violated, violated=violated)
 
 
-def _solve3(rows: Sequence[HalfSpace]) -> CoefficientTriple | None:
-    """Solve the 3x3 system with the three constraints tight, by Cramer's
-    rule; None when singular."""
-    (h1, h2, h3) = rows
-    a = (
-        (h1.a3, h1.a2, h1.a1),
-        (h2.a3, h2.a2, h2.a1),
-        (h3.a3, h3.a2, h3.a1),
-    )
-    b = (h1.b, h2.b, h3.b)
-
-    def det3(m) -> Fraction:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    d = det3(a)
-    if d == 0:
-        return None
-
-    def replace(col: int):
-        return tuple(
-            tuple(b[r] if c == col else a[r][c] for c in range(3))
-            for r in range(3)
-        )
-
-    return CoefficientTriple(
-        x3=det3(replace(0)) / d,
-        x2=det3(replace(1)) / d,
-        x1=det3(replace(2)) / d,
-    )
+def _dot(u, v) -> Fraction:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _cross(u, v) -> tuple[Fraction, Fraction, Fraction]:
@@ -178,12 +147,24 @@ def _cross(u, v) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
+def _solve3(rows: Sequence[HalfSpace]) -> CoefficientTriple | None:
+    """Solve the 3x3 system with the three constraints tight, by triple
+    products: with normals r0, r1, r2, x = (b0 r1xr2 + b1 r2xr0 + b2 r0xr1)
+    / (r0 . r1xr2).  None when singular, that is when the denominator is 0."""
+    (h0, h1, h2) = rows
+    r0, r1, r2 = h0.normal(), h1.normal(), h2.normal()
+    products = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
+    d = _dot(r0, products[0])
+    if d == 0:
+        return None
+    b = (h0.b, h1.b, h2.b)
+    return CoefficientTriple(*(_dot(b, column) / d for column in zip(*products)))
+
+
 def _is_recession_direction(p: Polyhedron, d) -> bool:
     if all(c == 0 for c in d):
         return False
-    return all(
-        h.a3 * d[0] + h.a2 * d[1] + h.a1 * d[2] <= 0 for h in p.halfspaces
-    )
+    return all(_dot(h.normal(), d) <= 0 for h in p.halfspaces)
 
 
 def vertices(p: Polyhedron) -> frozenset[CoefficientTriple]:

@@ -29,6 +29,7 @@ from matchbounds.bounds import (
 from matchbounds.cli import fraction_text, report_json
 from matchbounds.families import (
     FamilySpec,
+    InvalidParameterError,
     closed_nu,
     family_for_halfspace,
     family_order,
@@ -227,8 +228,10 @@ def test_counterexample_slack_certificate_raises(monkeypatch):
 def test_smallest_violating_t_cap():
     from matchbounds.bounds import _smallest_violating_t
 
-    with pytest.raises(ValueError):
-        _smallest_violating_t("G2", triple("1/3", 0, 0), F(0))  # 1/3 < 4/9
+    # 1/3 < 4/9: no G2 member violates, so the search stops at the first
+    # probe that generate could not build.
+    with pytest.raises(InvalidParameterError, match="too large to build"):
+        _smallest_violating_t("G2", triple("1/3", 0, 0), F(0))
 
 
 @settings(max_examples=80, deadline=None)

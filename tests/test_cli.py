@@ -19,7 +19,7 @@ import matchbounds.structure
 from matchbounds.cli import main
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, generate
-from matchbounds.graphs import Graph, emit_graph6
+from matchbounds.graphs import MAX_GRAPH6_ORDER, Graph, emit_graph6
 
 TRIANGLE_G6 = "Bw"
 
@@ -419,6 +419,23 @@ def test_verify_file_encodes_no_graph(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_file_graph_above_the_graph6_cap_is_refused_where_read(capsys, tmp_path):
+    # The empty graph on MAX_GRAPH6_ORDER + 1 vertices has no emitted text,
+    # so its line is refused as it is read, before it is checked or
+    # counted, even where no report line would print it.
+    n = MAX_GRAPH6_ORDER + 1
+    path = tmp_path / "huge.g6"
+    prefix = b"~" + bytes(63 + (n >> s & 63) for s in (12, 6, 0))
+    path.write_bytes(prefix + b"?" * ((n * (n - 1) // 2 + 5) // 6) + b"\n")
+    manifest = tmp_path / "manifest.json"
+    for argv in (["verify", "--tight-only", "--jobs", "1"],
+                 ["verify", "--tight-only", "--jobs", "2"], ["ge"]):
+        code, out, err = run(capsys, *argv, "--file", str(path), "--manifest", str(manifest))
+        assert code == 2 and out == ""
+        assert err == f"error: graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})\n"
+        assert json.loads(manifest.read_text())["counts"]["graphs"] == 0
+
+
 def test_cli_module_runs_as_script(tmp_path):
     code, out, _ = _run_script(tmp_path, "polytope", "vertices")
     assert code == 0
@@ -485,6 +502,19 @@ def test_family_refuses_members_too_large_to_build(capsys, family, t):
     code, out, err = run(capsys, "family", family, t)
     assert code == 2
     assert out == "" and "too large to build" in err
+
+
+@pytest.mark.parametrize("triple, k, member", [
+    (("0", "1/2", "51/100"), "100000000000", "G3(t=1048578)"),
+    (("1/3", "0", "35/100"), "10000000000000", "G1(t=33)"),
+])
+def test_counterexample_refuses_members_too_large_to_build(capsys, triple, k, member):
+    # The search stops at its first probe that is still not violated and
+    # that generate refuses; no smaller member can serve.
+    code, out, err = run(capsys, "counterexample", "--triple", *triple, "--k", k)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {member} has more than")
+    assert "too large to build" in err
 
 
 def test_family_stats_extrapolated(capsys):

@@ -34,7 +34,8 @@ from matchbounds.graphs import (
 from .conftest import relabel
 
 # Class counts produced by the generator; n <= 6 are re-derived from the
-# labeled oracle below, the larger ones are regression pins.
+# labeled oracle below, n = 7..11 by the orbit-stabilizer check, and n = 12
+# is a regression pin.
 EXPECTED_CONNECTED_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64, 8: 194, 9: 531, 10: 1733,
     11: 5524, 12: 19430,
@@ -384,25 +385,26 @@ def _distance_profile(g: Graph) -> tuple:
     return tuple(sorted(rows))
 
 
-def test_class_counts_obey_orbit_stabilizer(corpus_by_n):
+def test_class_counts_obey_orbit_stabilizer(sweep_corpus_by_n):
     # Orbit-stabilizer (Harary & Palmer, Graphical Enumeration, 1973): a
     # class G has n!/|Aut(G)| labelings, so complete, pairwise
     # non-isomorphic classes sum to L(n).  A missing class and a duplicate
     # with equal |Aut| cancel in the sum, so the classes are also compared
     # pairwise, within buckets of equal distance profile.  No canonical
-    # labelling takes part.
-    a, conn = _labeled_counts(10)
+    # labelling takes part.  Runs to n = 11, or as far as the sweep goes.
+    max_n = min(11, max(sweep_corpus_by_n))
+    a, conn = _labeled_counts(11)
     # Up to n = 4 every graph is subcubic: 1, 1, 4, 38 connected labeled
     # graphs (OEIS A001187); 2**6 labeled graphs on 4 vertices.
     assert conn[1:5] == [1, 1, 4, 38] and a[4] == 64
-    for n in range(1, 11):
+    for n in range(1, max_n + 1):
         buckets: dict[tuple, list[Graph]] = {}
-        for g in corpus_by_n[n]:
+        for g in sweep_corpus_by_n[n]:
             buckets.setdefault(_distance_profile(g), []).append(g)
         for bucket in buckets.values():
             for g, h in combinations(bucket, 2):
                 assert _isomorphisms(g, h, stop=1) == 0, (g.edges, h.edges)
-        labelings = sum(factorial(n) // _isomorphisms(g, g) for g in corpus_by_n[n])
+        labelings = sum(factorial(n) // _isomorphisms(g, g) for g in sweep_corpus_by_n[n])
         assert labelings == conn[n], n
 
 

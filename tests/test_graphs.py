@@ -274,10 +274,11 @@ def test_read_graph6_line_returns_the_emitted_text():
     path = Graph(100, [(i, i + 1) for i in range(99)])
     long_form = b"~~???" + emit_graph6(path)[1:]  # the 8-byte prefix for n = 100
     assert read_graph6_line(long_form) == (path, emit_graph6(path))
-    # Above MAX_GRAPH6_ORDER there is no emitted text.
+    # Above MAX_GRAPH6_ORDER there is no emitted text: the line is refused.
     n = MAX_GRAPH6_ORDER + 1
     line = b"~~???" + bytes([63 + (n >> 12), 63 + (n >> 6 & 63), 63 + (n & 63)])
-    assert read_graph6_line(line + b"?" * ((n * (n - 1) // 2 + 5) // 6)) == (Graph(n), None)
+    with pytest.raises(ValueError, match="graph too large for graph6"):
+        read_graph6_line(line + b"?" * ((n * (n - 1) // 2 + 5) // 6))
 
 
 def test_graph6_large_order_prefix():

@@ -121,6 +121,9 @@ def test_is_hypomatchable():
     assert is_hypomatchable(C5)
     assert not is_hypomatchable(K13)
     assert not is_hypomatchable(C4)
+    # Odd order, but each deleted vertex leaves two triangles unmatched.
+    triangles = Graph(9, [(c + i, c + (i + 1) % 3) for c in (0, 3, 6) for i in range(3)])
+    assert not is_hypomatchable(triangles)
 
 
 @settings(max_examples=120, deadline=None)

@@ -3,6 +3,7 @@ and shift transforms."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from matchbounds.polytope import (
     polyhedron_P_plus,
     project_to_Pplus,
     shift_transform,
+    _solve3,
     triple,
     vertices,
 )
@@ -83,6 +85,43 @@ def test_every_vertex_has_three_tight_constraints():
     for v in vertices(pp):
         tight = [h for h in pp.halfspaces if h.value(v) == h.b]
         assert len(tight) >= 3, v
+
+
+def _gauss_solve(rows):
+    """The unique solution of sum_j a[i][j] x_j = b_i by Gauss-Jordan
+    elimination over the rationals, or None when the matrix is singular."""
+    m = [list(row) for row in rows]
+    for col in range(3):
+        pivot = next((r for r in range(col, 3) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(3):
+            if r != col:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * c for a, c in zip(m[r], m[col])]
+    return tuple(m[i][3] / m[i][i] for i in range(3))
+
+
+def test_solve3_equals_gaussian_elimination():
+    # Seeded rational systems; in about one in five the third row is a
+    # combination of the first two, so the matrix is singular.
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(2000):
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)] for _ in range(2)]
+        if rng.random() < 0.2:
+            f = F(rng.randint(-3, 3), rng.randint(1, 2))
+            rows.append([a + f * c for a, c in zip(*rows)])
+        else:
+            rows.append([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
+        if any(not any(row[:3]) for row in rows):
+            continue
+        expected = _gauss_solve(rows)
+        x = _solve3([HalfSpace(*row) for row in rows])
+        singular += expected is None
+        assert (None if x is None else x.as_tuple()) == expected, rows
+    assert singular > 300
 
 
 def test_unit_cube_has_eight_corners():
