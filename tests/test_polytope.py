@@ -18,13 +18,13 @@ from matchbounds.polytope import (
     NotInPError,
     Polyhedron,
     UnboundedInputError,
+    _solve3,
     contains,
     parse_fraction,
     polyhedron_P,
     polyhedron_P_plus,
     project_to_Pplus,
     shift_transform,
-    _solve3,
     triple,
     vertices,
 )
