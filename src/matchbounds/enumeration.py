@@ -43,15 +43,38 @@ on them.
 * Then a removable vertex in a later class than x, or in x's class with
   a smaller neighbor sum, rejects the child.
 
-Survivors get one search, which yields both the key and the relabelling;
-only when other removable vertices tie with x is orbit membership
-tested, by individualising x and the last tied vertex and comparing
-their codes.
+Survivors get one search, which yields the key, the relabelling and the
+automorphisms; when other removable vertices tie with x, x must share an
+orbit with the last of them.
+
+Automorphisms from the search.  ``_canonical_order`` merges two frontier
+states with equal ``seen`` tuples.  Both order the same placed set with
+the same code prefix, and every unplaced vertex sees the same positions
+in both, so the map taking one onto the other position by position, and
+fixing every unplaced vertex, keeps adjacency and classes: it is an
+automorphism.  These merge maps generate Aut(G).  By induction over the
+positions, an ordering that attains the code prefix is mapped onto the
+kept state with its ``seen`` tuple by a product of merge maps: extend
+both by the same vertex v, which that product fixes, and follow with the
+merge of the extended state, if it was merged.  The last position leaves
+one state, the returned order, and every ordering that attains the code;
+so for an automorphism a, the product taking a(order) onto order is a^-1.
+
+The two uses need different parts of the group.  The tie test asks
+whether x and the last tied vertex share an orbit of Aut(G); a subgroup
+can split that orbit and reject a child the rule keeps, losing its
+class.  So ``_orbits`` joins vertices over every merge.  Join pruning
+needs only a subgroup: joins that an automorphism of the parent maps
+onto each other give isomorphic children, so one join per orbit of any
+subgroup loses no class, and the key dictionary drops a duplicate that
+is left.  A class that will be a parent keeps only the merges that
+joined two vertex orbits, at most n - 1, as permutations of its
+canonical labels (bytes); the last level keeps none.
 
 Per-parent state.  The enumerator holds every graph in one form, the
 adjacency tuple that ``Graph._adj`` stores: per vertex, its neighbors as
-a sorted tuple.  Levels hold (key, adjacency) pairs, a parent's neighbor
-lists are its adjacency as it stands, and each kept class is yielded as
+a sorted tuple.  Levels hold (adjacency, generators) pairs sorted by
+key, a parent's neighbor lists are its adjacency as it stands, and each kept class is yielded as
 a ``Graph`` with no conversion.  A parent's packed invariants are
 computed once.  A child differs from its parent only at x, at the k
 vertices it joins and at their neighbors, so its lists and invariants
@@ -125,10 +148,10 @@ def _subcubic_invariants(g: Graph) -> list[int]:
     return _invariants(g._adj)
 
 
-def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_order(nbrs, cls: list[int]):
     """One vertex ordering achieving the canonical code under the vertex
-    classes ``cls`` (ints, largest class first), plus the code, for the
-    graph with neighbor lists ``nbrs``.
+    classes ``cls`` (ints, largest class first), the code, and the merge
+    maps of the search, for the graph with neighbor lists ``nbrs``.
 
     The code is the lexicographically greatest sequence of adjacency
     chunks (position i: the adjacency of the i-th vertex to the earlier
@@ -137,6 +160,12 @@ def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, 
     every partial ordering that attains the maximal next chunk; states in
     which every unplaced vertex sees the same prefix pattern are merged,
     since their futures are interchangeable.  Exact, not heuristic.
+
+    Each merge is recorded as ``(placed, v, rep)``: the ordering
+    ``placed + (v,)`` was merged into the kept ordering ``rep``.  Mapping
+    one onto the other position by position, and fixing every unplaced
+    vertex, is an automorphism, and these maps generate the automorphism
+    group (module docstring).
 
     A state carries, per vertex, its adjacency to the placed vertices with
     position p at bit n-1-p (-1 once the vertex is placed), so a chunk is
@@ -149,6 +178,7 @@ def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, 
 
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * n)]
     code: list[int] = []
+    merges: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
     for pos, want in enumerate(sorted(cls, reverse=True)):
         candidates = members[want]
         best = 0
@@ -172,10 +202,37 @@ def _canonical_order(nbrs, cls: list[int]) -> tuple[tuple[int, ...], tuple[int, 
                 if nxt[u] >= 0:
                     nxt[u] |= bit
             key = tuple(nxt)
-            if key not in merged:
+            rep = merged.get(key)
+            if rep is None:
                 merged[key] = placed + (v,)
+            else:
+                merges.append((placed, v, rep))
         frontier = [(placed, seen) for seen, placed in merged.items()]
-    return frontier[0][0], tuple(code)
+    return frontier[0][0], tuple(code), merges
+
+
+def _orbits(n: int, merges) -> tuple[list[int], list]:
+    """Union-find over the merge maps of one ``_canonical_order`` search on
+    n vertices: per vertex the least vertex of its orbit under the group
+    the maps generate, and the maps that joined two orbits when taken in
+    order.  Those generate a subgroup with the same vertex orbits."""
+    root = list(range(n))
+    joining = []
+    for placed, v, rep in merges:
+        joined = False
+        for a, b in zip(placed + (v,), rep):
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[max(a, b)] = min(a, b)
+                joined = True
+        if joined:
+            joining.append((placed, v, rep))
+    for v in range(n):
+        root[v] = root[root[v]]  # roots are least, so one step finds each
+    return root, joining
 
 
 def canonical_key(g: Graph):
@@ -184,7 +241,7 @@ def canonical_key(g: Graph):
     neighbor degrees), largest first.  A vertex of degree > 3 raises
     ``NotSubcubicError``, as in ``degree_profile``."""
     inv = _subcubic_invariants(g)
-    _, code = _canonical_order(g._adj, inv)
+    _, code, _ = _canonical_order(g._adj, inv)
     return (g.n, tuple(map(_unpack, sorted(inv, reverse=True))), code)
 
 
@@ -192,7 +249,7 @@ def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of the subcubic graph g's
     class; a vertex of degree > 3 raises ``NotSubcubicError``, as in
     ``degree_profile``."""
-    order, _ = _canonical_order(g._adj, _subcubic_invariants(g))
+    order, _, _ = _canonical_order(g._adj, _subcubic_invariants(g))
     return Graph._from_adjacency(_relabelled(g._adj, order))
 
 
@@ -225,15 +282,6 @@ def _removable(nbrs, v: int) -> bool:
     return left == 0
 
 
-def _individualised_code(nbrs, cls: list[int], v: int) -> tuple[int, ...]:
-    """Canonical code with v moved into a class of its own, placed first:
-    equal for two vertices exactly when an automorphism maps one onto the
-    other."""
-    own = cls[:]
-    own[v] = 1 << 8  # above every packed invariant, the largest being 240
-    return _canonical_order(nbrs, own)[1]
-
-
 def _child_state(parent, inv: list[int], joined: tuple[int, ...]):
     """Neighbor lists and packed invariants of the child that joins a new
     vertex x to ``joined``, patched from the parent's adjacency and
@@ -258,16 +306,18 @@ def _child_state(parent, inv: list[int], joined: tuple[int, ...]):
     return nbrs, c_inv
 
 
-def _canonical_child(nbrs, inv: list[int]):
-    """(generation key, canonical order) of a child whose new vertex x is
-    the last one, or None unless x lies in the canonical orbit.
+def _canonical_child(nbrs, inv: list[int], keep_gens: bool):
+    """(generation key, canonical order, generators) of a child whose new
+    vertex x is the last one, or None unless x lies in the canonical orbit.
 
     The canonical orbit holds, among the removable vertices with the
     smallest invariant (the latest class) and then the smallest sum of
     neighbor invariants, the one that comes last in the canonical order.
     A removable vertex below x on either count rejects the child before
     any search.  The key is (invariants sorted descending, code): within
-    a level it sorts and splits like ``canonical_key``.
+    a level it sorts and splits like ``canonical_key``.  The orbits come
+    from every merge of the search; the generators are the merges that
+    joined two orbits (``_orbits``) with ``keep_gens``, else ().
     """
     x = len(nbrs) - 1
     ix = inv[x]
@@ -280,14 +330,13 @@ def _canonical_child(nbrs, inv: list[int]):
         if any(near[v] < near[x] for v in tied):
             return None
         tied = [v for v in tied if near[v] == near[x]]
-    order, code = _canonical_order(nbrs, inv)
-    if tied:
-        last = max(tied + [x], key=order.index)
-        if last != x and _individualised_code(nbrs, inv, x) != _individualised_code(
-            nbrs, inv, last
-        ):
+    order, code, merges = _canonical_order(nbrs, inv)
+    joining = ()
+    if tied or keep_gens:
+        root, joining = _orbits(x + 1, merges)
+        if tied and root[max(tied + [x], key=order.index)] != root[x]:
             return None
-    return (tuple(sorted(inv, reverse=True)), code), order
+    return (tuple(sorted(inv, reverse=True)), code), order, joining if keep_gens else ()
 
 
 def _children(parent) -> Iterator[tuple[int, ...]]:
@@ -306,37 +355,76 @@ def _children(parent) -> Iterator[tuple[int, ...]]:
             yield must + rest
 
 
-def _kept_children(parent) -> dict:
-    """Canonical adjacency tuples of the kept children of one parent, by
-    key.
+def _relabelled_maps(order: tuple[int, ...], maps) -> tuple[bytes, ...]:
+    """The merge maps ``maps`` of a search that found ``order``, as
+    permutations of the canonical labels: byte i is the image of i."""
+    position = [0] * len(order)
+    for pos, v in enumerate(order):
+        position[v] = pos
+    images = []
+    for placed, v, rep in maps:
+        image = bytearray(range(len(order)))
+        for a, b in zip(placed + (v,), rep):
+            image[position[a]] = position[b]
+        images.append(bytes(image))
+    return tuple(images)
 
-    Isomorphic kept children of one parent differ by one of its
-    automorphisms, and no other parent can produce them, so a key seen
-    before needs no relabelling.
+
+def _kept_children(parent, gens, keep_gens: bool) -> dict:
+    """(canonical adjacency tuple, generators) of the kept children of one
+    parent with automorphisms ``gens``, by key; generators only with
+    ``keep_gens``.
+
+    Joins that ``gens`` map onto each other give isomorphic children, so
+    one join per orbit of the group they generate is built.  Isomorphic
+    kept children of one parent still differ by one of its automorphisms,
+    and no other parent can produce them, so a key seen before needs no
+    relabelling.
     """
     inv = _invariants(parent)
     found: dict = {}
+    done: set[frozenset[int]] = set()
     for joined in _children(parent):
+        join = frozenset(joined)
+        if join in done:
+            continue
+        done.add(join)
+        stack = [join]
+        while stack:
+            member = stack.pop()
+            for g in gens:
+                image = frozenset([g[v] for v in member])
+                if image not in done:
+                    done.add(image)
+                    stack.append(image)
         nbrs, c_inv = _child_state(parent, inv, joined)
-        kept = _canonical_child(nbrs, c_inv)
+        kept = _canonical_child(nbrs, c_inv, keep_gens)
         if kept is not None and kept[0] not in found:
-            key, order = kept
-            found[key] = _relabelled(nbrs, order)
+            key, order, joining = kept
+            found[key] = (_relabelled(nbrs, order), _relabelled_maps(order, joining))
     return found
+
+
+def _next_level(parents, keep_gens: bool) -> list:
+    """The classes one vertex larger than ``parents``, as (canonical
+    adjacency, generators) pairs like ``parents``, sorted by generation
+    key; generators are kept only with ``keep_gens``."""
+    level = []
+    for adj, gens in parents:
+        level.extend(_kept_children(adj, gens, keep_gens).items())
+    level.sort(key=itemgetter(0))
+    return [kept for _, kept in level]
 
 
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     """Connected subcubic graphs grouped by vertex count, canonical labels,
-    each level sorted by canonical key."""
-    parents: list[tuple[tuple[int, ...], ...]] = [((),)]
-    yield [Graph._from_adjacency(parents[0])]
-    for _ in range(2, max_n + 1):
-        level = []
-        for parent in parents:
-            level.extend(_kept_children(parent).items())
-        level.sort(key=itemgetter(0))
-        parents = [adj for _, adj in level]
-        yield [Graph._from_adjacency(adj) for adj in parents]
+    each level sorted by canonical key.  The last level keeps no
+    generators."""
+    parents: list = [(((),), ())]
+    yield [Graph._from_adjacency(((),))]
+    for n in range(2, max_n + 1):
+        parents = _next_level(parents, n < max_n)
+        yield [Graph._from_adjacency(adj) for adj, _ in parents]
 
 
 def enumerate_subcubic(cfg: EnumerationConfig) -> Iterator[Graph]:

@@ -60,7 +60,9 @@ def triple(x3, x2, x1) -> CoefficientTriple:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Constraint a3*x3 + a2*x2 + a1*x1 <= b with rational data."""
+    """Constraint a3*x3 + a2*x2 + a1*x1 <= b with rational data; ints,
+    strings and Fractions are accepted, as in ``triple``, and stored as
+    Fractions."""
 
     a3: Fraction
     a2: Fraction
@@ -69,6 +71,8 @@ class HalfSpace:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("a3", "a2", "a1", "b"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.a3 == 0 and self.a2 == 0 and self.a1 == 0:
             raise ValueError("half-space normal must be nonzero")
 
@@ -110,19 +114,15 @@ def polyhedron_P() -> Polyhedron:
         (1, 1, 1, 1, "x3+x2+x1<=1"),
         (1, "1/6", 0, "1/2", "x3+x2/6<=1/2"),
     ]
-    return Polyhedron(tuple(
-        HalfSpace(Fraction(a3), Fraction(a2), Fraction(a1), Fraction(b), label)
-        for a3, a2, a1, b, label in rows
-    ))
+    return Polyhedron(tuple(HalfSpace(*row) for row in rows))
 
 
 def polyhedron_P_plus() -> Polyhedron:
     """The coefficient polyhedron restricted to the nonnegative orthant."""
-    one, zero = Fraction(1), Fraction(0)
     nonneg = (
-        HalfSpace(-one, zero, zero, zero, "x3>=0"),
-        HalfSpace(zero, -one, zero, zero, "x2>=0"),
-        HalfSpace(zero, zero, -one, zero, "x1>=0"),
+        HalfSpace(-1, 0, 0, 0, "x3>=0"),
+        HalfSpace(0, -1, 0, 0, "x2>=0"),
+        HalfSpace(0, 0, -1, 0, "x1>=0"),
     )
     return Polyhedron(polyhedron_P().halfspaces + nonneg)
 

@@ -49,12 +49,11 @@ def sweep_generation(corpus_by_n) -> tuple[dict[int, list], dict[str, int] | Non
     if max_n <= 10:
         return {n: gs for n, gs in corpus_by_n.items() if n <= max_n}, None
     counts = {"children": 0, "searches": 0}
-    children, search = enumeration._children, enumeration._canonical_order
+    build, search = enumeration._child_state, enumeration._canonical_order
 
-    def counted_children(parent):
-        for joined in children(parent):
-            counts["children"] += 1
-            yield joined
+    def counted_build(*args):
+        counts["children"] += 1
+        return build(*args)
 
     def counted_search(*args):
         counts["searches"] += 1
@@ -63,7 +62,7 @@ def sweep_generation(corpus_by_n) -> tuple[dict[int, list], dict[str, int] | Non
     buckets: dict[int, list] = {}
     work = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_children", counted_children)
+        mp.setattr(enumeration, "_child_state", counted_build)
         mp.setattr(enumeration, "_canonical_order", counted_search)
         for g in enumerate_subcubic(EnumerationConfig(max_n=max_n)):
             if g.n == 11 and work is None:

@@ -141,44 +141,94 @@ def _joins(parent):
             yield Graph(x + 1, edges + [(v, x) for v in joined]), joined
 
 
+def _individualised_code(nbrs, inv: list[int], v: int) -> tuple[int, ...]:
+    """Canonical code with v moved into a class of its own, placed first:
+    equal for two vertices of one class exactly when an automorphism maps
+    one onto the other."""
+    own = inv[:]
+    own[v] = 1 << 8  # above every packed invariant, the largest being 240
+    return enumeration._canonical_order(nbrs, own)[1]
+
+
+def _code_orbits(nbrs, inv: list[int]) -> set[frozenset[int]]:
+    """Oracle: the vertex orbits of the automorphism group, from the
+    individualised codes.  Only vertices of one class can share an
+    orbit."""
+    orbits: dict[tuple, list[int]] = {}
+    for v in range(len(nbrs)):
+        code = () if inv.count(inv[v]) == 1 else _individualised_code(nbrs, inv, v)
+        orbits.setdefault((inv[v], code), []).append(v)
+    return {frozenset(vs) for vs in orbits.values()}
+
+
+def _merge_orbits(nbrs, inv: list[int]) -> set[frozenset[int]]:
+    """The vertex orbits that ``_orbits`` reads off one search's merges."""
+    root, _ = enumeration._orbits(len(nbrs), enumeration._canonical_order(nbrs, inv)[2])
+    orbits: dict[int, set[int]] = {}
+    for v, r in enumerate(root):
+        orbits.setdefault(r, set()).add(v)
+    return {frozenset(vs) for vs in orbits.values()}
+
+
+def _accepted(nbrs, inv: list[int]):
+    """The canonical order of the child with neighbor lists ``nbrs`` and
+    new vertex x = n - 1 if the acceptance rule keeps it, else None, by
+    the rule with none of its shortcuts: every vertex gets the
+    removability search, and orbits come from individualised codes."""
+    x = len(nbrs) - 1
+    removable = [v for v in range(x) if enumeration._removable(nbrs, v)]
+    if any(inv[v] < inv[x] for v in removable):
+        return None
+    near = {v: sum(inv[u] for u in nbrs[v]) for v in removable + [x]}
+    tied = [v for v in removable if inv[v] == inv[x]]
+    if any(near[v] < near[x] for v in tied):
+        return None
+    tied = [v for v in tied if near[v] == near[x]]
+    order = enumeration._canonical_order(nbrs, inv)[0]
+    last = max(tied + [x], key=order.index)
+    if last != x and _individualised_code(nbrs, inv, x) != _individualised_code(
+        nbrs, inv, last
+    ):
+        return None
+    return order
+
+
 def _unpruned_kept(parent) -> set:
     """Oracle for the generator's pruning and its per-parent state: the
-    acceptance rule with none of its shortcuts.  Every join of 1..3
-    vertices of degree < 3 is built, every vertex gets the removability
-    search, and each child's neighbor lists and invariants are read from
-    its own adjacency.  The canonical adjacency tuples of the kept
-    children."""
-    x = len(parent)
+    acceptance rule with none of its shortcuts (``_accepted``).  Every
+    join of 1..3 vertices of degree < 3 is built, and each child's
+    neighbor lists and invariants are read from its own adjacency.  The
+    canonical adjacency tuples of the kept children."""
     found = set()
     for child, _ in _joins(parent):
         nbrs = child._adj
-        inv = enumeration._invariants(nbrs)
-        removable = [v for v in range(x) if enumeration._removable(nbrs, v)]
-        if any(inv[v] < inv[x] for v in removable):
-            continue
-        near = {v: sum(inv[u] for u in nbrs[v]) for v in removable + [x]}
-        tied = [v for v in removable if inv[v] == inv[x]]
-        if any(near[v] < near[x] for v in tied):
-            continue
-        tied = [v for v in tied if near[v] == near[x]]
-        order, _ = enumeration._canonical_order(nbrs, inv)
-        last = max(tied + [x], key=order.index)
-        code_of = enumeration._individualised_code
-        if last != x and code_of(nbrs, inv, x) != code_of(nbrs, inv, last):
-            continue
-        found.add(enumeration._relabelled(nbrs, order))
+        order = _accepted(nbrs, enumeration._invariants(nbrs))
+        if order is not None:
+            found.add(enumeration._relabelled(nbrs, order))
     return found
 
 
-def test_pruned_children_match_the_unpruned_rule(corpus_by_n):
-    # The degree rule must only skip children that the acceptance rule
-    # rejects anyway, and one parent makes each class once.
+@pytest.fixture(scope="module")
+def levels_with_gens() -> list[list]:
+    """Per order n <= 10, at index n, the driver's (canonical adjacency,
+    generators) pairs, generators kept on every level."""
+    levels = [[], [(((),), ())]]
+    for _ in range(2, 11):
+        levels.append(enumeration._next_level(levels[-1], True))
+    return levels
+
+
+def test_pruned_children_match_the_unpruned_rule(corpus_by_n, levels_with_gens):
+    # The degree rule and the one join per orbit of the parent's stored
+    # generators must only skip children that the acceptance rule rejects
+    # or makes again, and one parent makes each class once.
     for n in range(1, 10):
-        for g in corpus_by_n[n]:
-            kept = enumeration._kept_children(g._adj)
-            adjacencies = set(kept.values())
-            assert len(adjacencies) == len(kept), g.edges
-            assert adjacencies == _unpruned_kept(g._adj), g.edges
+        assert [adj for adj, _ in levels_with_gens[n]] == [g._adj for g in corpus_by_n[n]]
+        for adj, gens in levels_with_gens[n]:
+            kept = enumeration._kept_children(adj, gens, True)
+            adjacencies = {child for child, _ in kept.values()}
+            assert len(adjacencies) == len(kept), adj
+            assert adjacencies == _unpruned_kept(adj), adj
 
 
 def _small_children(corpus_by_n):
@@ -210,7 +260,7 @@ def test_generation_keys_order_like_canonical_keys(corpus_by_n):
     # dictionary, so automorphic duplicates give ties.
     by_n: dict[int, list] = {}
     for child, nbrs, inv in _small_children(corpus_by_n):
-        kept = enumeration._canonical_child(nbrs, inv)
+        kept = enumeration._canonical_child(nbrs, inv, False)
         if kept is not None:
             by_n.setdefault(child.n, []).append((kept[0], canonical_key(child)))
     ties = 0
@@ -221,6 +271,93 @@ def test_generation_keys_order_like_canonical_keys(corpus_by_n):
             assert (flat == next_flat) == (key == next_key)
             ties += flat == next_flat
     assert sorted(by_n) == list(range(2, 11)) and ties > 0
+
+
+def _merge_maps(n: int, merges) -> list[list[int]]:
+    """The permutations of range(n) that merges ``(placed, v, rep)`` of a
+    search stand for: ``placed + (v,)`` onto ``rep`` position by position,
+    every other vertex fixed."""
+    maps = []
+    for placed, v, rep in merges:
+        image = list(range(n))
+        for a, b in zip(placed + (v,), rep):
+            image[a] = b
+        maps.append(image)
+    return maps
+
+
+def _perm_orbits(n: int, perms) -> set[frozenset[int]]:
+    """The orbits on range(n) of the group that ``perms`` generate."""
+    orbit = [{v} for v in range(n)]
+    for p in perms:
+        for v in range(n):
+            if orbit[p[v]] is not orbit[v]:
+                joined = orbit[v] | orbit[p[v]]
+                for u in joined:
+                    orbit[u] = joined
+    return {frozenset(vs) for vs in orbit}
+
+
+def test_merge_orbits_are_the_automorphism_orbits(corpus_by_n):
+    # The tie test reads orbits off every merge of the child's search.
+    # They must be the orbits that individualised codes give, on every
+    # class and every child that the degree rule lets through.  A child
+    # must be kept exactly when the unpruned rule keeps it, and the
+    # generators it returns must keep the orbits of the whole group.
+    for n in range(1, 10):
+        for g in corpus_by_n[n]:
+            inv = enumeration._invariants(g._adj)
+            assert _merge_orbits(g._adj, inv) == _code_orbits(g._adj, inv), g.edges
+    for _, nbrs, inv in _small_children(corpus_by_n):
+        orbits = _code_orbits(nbrs, inv)
+        assert _merge_orbits(nbrs, inv) == orbits, nbrs
+        kept = enumeration._canonical_child(nbrs, inv, True)
+        order = _accepted(nbrs, inv)
+        assert (kept is None) == (order is None), nbrs
+        if kept is not None:
+            assert kept[1] == order, nbrs
+            assert _perm_orbits(len(nbrs), _merge_maps(len(nbrs), kept[2])) == orbits, nbrs
+
+
+def _closure(gens, n: int) -> set[tuple[int, ...]]:
+    """The permutation group on range(n) that ``gens`` generate."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
+def test_merge_maps_generate_the_automorphism_group(corpus_by_n):
+    # Each merge maps one ordering onto the other and fixes the unplaced
+    # vertices; together the maps of one search give all of Aut(G).
+    for n in range(1, 9):
+        for g in corpus_by_n[n]:
+            _, _, merges = enumeration._canonical_order(g._adj, enumeration._invariants(g._adj))
+            assert len(_closure(_merge_maps(n, merges), n)) == _isomorphisms(g, g), g.edges
+
+
+def test_stored_generators_are_automorphisms(levels_with_gens):
+    # Every stored generator is a permutation of the canonical labels
+    # that maps the canonical adjacency onto itself, and together they
+    # keep the vertex orbits of the whole group.
+    stored = 0
+    for level in levels_with_gens:
+        for adj, gens in level:
+            n = len(adj)
+            for g in gens:
+                assert sorted(g) == list(range(n)), (adj, g)
+                for v in range(n):
+                    assert tuple(sorted(g[u] for u in adj[v])) == adj[g[v]], (adj, g)
+            inv = enumeration._invariants(adj)
+            assert _perm_orbits(n, gens) == _code_orbits(adj, inv), adj
+            stored += len(gens)
+    assert stored > 0
 
 
 def test_removable_matches_a_connectivity_search(corpus_by_n):
@@ -258,11 +395,13 @@ def test_invariants_pack_degree_and_sorted_neighbor_degrees(corpus_by_n):
 def test_generation_work_is_pinned(sweep_generation):
     # Children built and canonical searches run to n <= 11: a lost filter
     # shows here without a timing test.  Without the degree rule 71923
-    # children are built.
+    # children are built; without one join per orbit of the parent's
+    # generators 20778, with 14747 searches when orbits were tested by
+    # individualised codes.
     corpus, work = sweep_generation
     if work is None:
         pytest.skip("the sweep stops below n = 11 (MATCHBOUNDS_SWEEP_MAX_N)")
-    assert work == {"children": 20778, "searches": 14747}
+    assert work == {"children": 15753, "searches": 9237}
     assert sum(len(corpus[n]) for n in range(1, 12)) == 8095
 
 

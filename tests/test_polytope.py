@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,20 @@ def test_unit_cube_has_eight_corners():
         HalfSpace(z, z, one, one), HalfSpace(z, z, -one, z),
     ]))
     assert len(vertices(cube)) == 8
+
+
+def test_int_built_unit_cube_has_fraction_corners():
+    # Int data is stored as Fractions, so the corners stay exact: no
+    # float such as -0.0 reaches a coordinate.
+    rows = []
+    for axis in range(3):
+        unit = [int(i == axis) for i in range(3)]
+        rows += [HalfSpace(*unit, 1), HalfSpace(*(-a for a in unit), 0)]
+    cube = Polyhedron(tuple(rows))
+    corners = vertices(cube)
+    assert {x.as_tuple() for x in corners} == set(product((0, 1), repeat=3))
+    for x in corners:
+        assert all(type(c) is Fraction for c in x.as_tuple()), x
 
 
 def test_unbounded_polyhedron_is_rejected():
