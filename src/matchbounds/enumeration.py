@@ -74,20 +74,20 @@ canonical labels (bytes); the last level keeps none.
 Per-parent state.  The enumerator holds every graph in one form, the
 adjacency tuple that ``Graph._adj`` stores: per vertex, its neighbors as
 a sorted tuple.  Levels hold (adjacency, generators) pairs sorted by
-key, a parent's neighbor lists are its adjacency as it stands, and each kept class is yielded as
-a ``Graph`` with no conversion.  A parent's packed invariants are
-computed once.  A child differs from its parent only at x, at the k
-vertices it joins and at their neighbors, so its lists and invariants
-are copies of the parent's, patched there.  A vertex of degree d packs
-to ``(d << 6) + sum(W[deg u])`` over its neighbors u, with W = (0, 1, 4,
-16) (``_invariants``).  Joining v of parent degree d adds ``(1 << 6) +
-W[k]`` to v and ``W[d + 1] - W[d]`` to each parent neighbor of v; x gets
-``(k << 6) + sum(W[d + 1])`` over the joined v.  The packed int is the
-vertex's class, and the ints order like the (degree, sorted neighbor
-degrees) tuples, so the generation key, (invariants sorted descending,
-code), sorts and splits a level exactly as ``canonical_key`` does.  The
-layout holds for degree <= 3 only, so ``canonical_key`` and
-``canonical_form`` reject other graphs.
+key, a parent's neighbor lists are its adjacency as it stands, and each
+kept class is yielded as a ``Graph`` with no conversion.  A parent's
+packed invariants are computed once.  A child differs from its parent
+only at x, at the k vertices it joins and at their neighbors, so its
+lists and invariants are copies of the parent's, patched there.  A
+vertex of degree d packs to ``(d << 6) + sum(W[deg u])`` over its
+neighbors u, with W = (0, 1, 4, 16) (``_invariants``).  Joining v of
+parent degree d adds ``(1 << 6) + W[k]`` to v and ``W[d + 1] - W[d]`` to
+each parent neighbor of v; x gets ``(k << 6) + sum(W[d + 1])`` over the
+joined v.  The packed int is the vertex's class, and the ints order like
+the (degree, sorted neighbor degrees) tuples, so the generation key,
+(invariants sorted descending, code), sorts and splits a level exactly
+as ``canonical_key`` does.  The layout holds for degree <= 3 only, so
+``canonical_key`` and ``canonical_form`` reject other graphs.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ def _subcubic_invariants(g: Graph) -> list[int]:
     return _invariants(g._adj)
 
 
-def _canonical_order(nbrs, cls: list[int]):
+def _canonical_order(
+    nbrs, cls: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], list]:
     """One vertex ordering achieving the canonical code under the vertex
     classes ``cls`` (ints, largest class first), the code, and the merge
     maps of the search, for the graph with neighbor lists ``nbrs``.

@@ -223,7 +223,7 @@ def test_pruned_children_match_the_unpruned_rule(corpus_by_n, levels_with_gens):
     # generators must only skip children that the acceptance rule rejects
     # or makes again, and one parent makes each class once.
     for n in range(1, 10):
-        assert [adj for adj, _ in levels_with_gens[n]] == [g._adj for g in corpus_by_n[n]]
+        assert [adj for adj, _ in levels_with_gens[n]] == [g._adj for g in corpus_by_n[n]], n
         for adj, gens in levels_with_gens[n]:
             kept = enumeration._kept_children(adj, gens, True)
             adjacencies = {child for child, _ in kept.values()}
@@ -316,7 +316,8 @@ def test_merge_orbits_are_the_automorphism_orbits(corpus_by_n):
         assert (kept is None) == (order is None), nbrs
         if kept is not None:
             assert kept[1] == order, nbrs
-            assert _perm_orbits(len(nbrs), _merge_maps(len(nbrs), kept[2])) == orbits, nbrs
+            n = len(nbrs)
+            assert _perm_orbits(n, _merge_maps(n, kept[2])) == orbits, nbrs
 
 
 def _closure(gens, n: int) -> set[tuple[int, ...]]:
@@ -338,8 +339,9 @@ def test_merge_maps_generate_the_automorphism_group(corpus_by_n):
     # vertices; together the maps of one search give all of Aut(G).
     for n in range(1, 9):
         for g in corpus_by_n[n]:
-            _, _, merges = enumeration._canonical_order(g._adj, enumeration._invariants(g._adj))
-            assert len(_closure(_merge_maps(n, merges), n)) == _isomorphisms(g, g), g.edges
+            inv = enumeration._invariants(g._adj)
+            maps = _merge_maps(n, enumeration._canonical_order(g._adj, inv)[2])
+            assert len(_closure(maps, n)) == _isomorphisms(g, g), g.edges
 
 
 def test_stored_generators_are_automorphisms(levels_with_gens):
