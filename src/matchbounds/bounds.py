@@ -15,7 +15,6 @@ from .families import (
     MAX_CERTIFIED_ORDER,
     FamilySpec,
     _check_buildable,
-    admissible_t,
     closed_nu,
     family_for_halfspace,
     generate,
@@ -171,20 +170,6 @@ def valid_constant(triple: CoefficientTriple) -> Fraction:
 def closed_form_slack(spec: FamilySpec, triple: CoefficientTriple, k: Fraction) -> Fraction:
     """nu - (x3*n3 + x2*n2 + x1*n1 - k) for a family member, by closed forms."""
     return closed_nu(spec) - (profile_dot(spec, triple.x3, triple.x2, triple.x1) - k)
-
-
-def counterexample_slacks(
-    family_id: str, t0: int, count: int, triple: CoefficientTriple, k: Fraction
-) -> list[tuple[int, Fraction]]:
-    """Closed-form slacks at ``count`` consecutive admissible t >= t0."""
-    out = []
-    for t in admissible_t(family_id):
-        if t < t0:
-            continue
-        out.append((t, closed_form_slack(FamilySpec(family_id, t), triple, k)))
-        if len(out) == count:
-            break
-    return out
 
 
 def _smallest_violating_t(family_id: str, triple: CoefficientTriple, k: Fraction) -> int:

@@ -4,19 +4,19 @@
 workhorse.  One alternating-forest search (``_Forest``) serves
 ``max_matching``, ``nu``, ``has_perfect_matching``, ``is_hypomatchable``
 and the Gallai-Edmonds decomposition: grown from one exposed root it
-finds an augmenting path or proves none starts there, and grown from
-every exposed vertex of a maximum matching its even vertices are the
-decomposition's A.  A search costs what it touches, never a pass over
-all n vertices, and a failed search's tree is skipped by all later
-ones.  ``brute_force_nu`` is an independent
-branch-and-bound used to cross-validate it.  Both are deterministic:
-vertices and adjacency are always processed in index order.
+finds an augmenting path or proves none starts there.  A search costs
+what it touches, never a pass over all n vertices, and a failed
+search's tree is skipped by all later ones.  Once every exposed vertex
+of the final matching has been searched from, the even vertices of
+those failed searches are the decomposition's A.  ``brute_force_nu`` is
+an independent branch-and-bound used to cross-validate it.  Both are
+deterministic: vertices and adjacency are always processed in index
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graphs import Graph
 
@@ -57,7 +57,8 @@ class _Forest:
     the base alone), so a contraction relabels only the blossoms on the
     cycle it closes. ``prune`` marks a failed search's tree dead: no
     augmenting path for this or any later matching of the run passes
-    through a Hungarian tree, so later searches skip it.
+    through a Hungarian tree, so later searches skip it. A dead tree
+    keeps its ``even`` labels; ``clear`` resets every other label.
     """
 
     __slots__ = ("adj", "mate", "parent", "base", "even", "dead",
@@ -77,27 +78,31 @@ class _Forest:
         self.queue: list[int] = []
         self.odd: list[int] = []
 
-    def grow(self, roots: Iterable[int]) -> int:
-        """Grow alternating trees from the exposed ``roots`` in BFS order.
+    def grow(self, root: int) -> int:
+        """Grow an alternating tree from the exposed ``root`` in BFS order.
 
         Returns an unlabelled exposed vertex as soon as one is reached: it
-        ends an augmenting path from a root, which ``augment`` applies.
-        Otherwise returns -1 once no edge extends the forest; ``queue``
-        then holds every even vertex, blossoms included.  Raises
-        RuntimeError when an edge joins two trees, which certifies that
-        ``mate`` is not a maximum matching.
+        ends an augmenting path from the root, which ``augment`` applies.
+        Otherwise returns -1 once no edge extends the tree; ``queue`` then
+        holds every even vertex, blossoms included.  Raises RuntimeError
+        when an even vertex is adjacent to an even vertex of a dead tree:
+        the two roots then end an augmenting path, so ``mate`` is not a
+        maximum matching.
         """
         adj, mate, parent, base = self.adj, self.mate, self.parent, self.base
         even, dead, queue, odd = self.even, self.dead, self.queue, self.odd
-        for r in roots:
-            even[r] = True
-            queue.append(r)
+        even[root] = True
+        queue.append(root)
         head = 0
         while head < len(queue):
             u = queue[head]
             head += 1
             for v in adj[u]:
-                if dead[v] or mate[u] == v or base[u] == base[v]:
+                if dead[v]:
+                    if even[v]:
+                        raise RuntimeError("matching is not maximum")
+                    continue
+                if mate[u] == v or base[u] == base[v]:
                     continue
                 if even[v]:
                     self._contract(u, v)
@@ -125,8 +130,6 @@ class _Forest:
             x = base[parent[mate[x]]]
         top = base[v]
         while mark[top] != stamp:
-            if mate[top] == -1:
-                raise RuntimeError("matching is not maximum")
             top = base[parent[mate[top]]]
         # Re-point the parents along both halves of the cycle, so that an
         # augmenting path through the blossom can be walked back later.
@@ -192,8 +195,18 @@ class _Forest:
         self.odd.clear()
 
 
-def _matching_array(g: Graph) -> list[int]:
-    """Maximum matching as a mate array (mate[v] == -1 for exposed v)."""
+def _matching_array(g: Graph, every_root: bool = False) -> tuple[list[int], list[int]]:
+    """Maximum matching as a mate array (mate[v] == -1 for exposed v),
+    with the even vertices of its failed searches' Hungarian trees.
+
+    Without ``every_root`` the run stops once one exposed vertex is left
+    unsearched, since no augmenting path can start there, and the second
+    list is empty.  With it, that last vertex is searched from too, so
+    every exposed vertex of the final matching roots a dead tree.  Their
+    even vertices, blossoms included, are then exactly the vertices that
+    some maximum matching misses (Lovász & Plummer, *Matching Theory*,
+    ch. 3).
+    """
     n = g.n
     adj = g._adj
     mate = [-1] * n
@@ -211,42 +224,31 @@ def _matching_array(g: Graph) -> list[int]:
     # An augmenting path joins two exposed vertices that no search has yet
     # failed from; ``unsearched`` counts those still exposed.
     unsearched = len(exposed)
-    if unsearched < 2:
-        return mate
+    if unsearched < 2 and not every_root:
+        return mate, []
     forest = _Forest(adj, mate)
     for root in exposed:
         if mate[root] != -1:
             continue
         unsearched -= 1
-        if unsearched == 0:
+        if unsearched == 0 and not every_root:
             break
-        v = forest.grow((root,))
+        v = forest.grow(root)
         if v == -1:
             forest.prune()
         else:
             forest.augment(v)
             forest.clear()
             unsearched -= 1
-    return mate
-
-
-def _even_vertices(g: Graph, mate: list[int]) -> list[int]:
-    """The even vertices, blossoms included, of one alternating forest
-    grown from every exposed vertex of ``mate`` at once.
-
-    On a maximum matching these are exactly the vertices that some
-    maximum matching misses (Lovász & Plummer, *Matching Theory*, ch. 3).
-    Raises RuntimeError when two trees meet: their roots then end an
-    augmenting path, so ``mate`` was not maximum.
-    """
-    forest = _Forest(g._adj, mate)
-    forest.grow([u for u in range(g.n) if mate[u] == -1])
-    return forest.queue
+    if not every_root:
+        return mate, []
+    even = forest.even
+    return mate, [v for v in range(n) if even[v]]
 
 
 def max_matching(g: Graph) -> Matching:
     """A maximum matching of ``g`` (deterministic for a fixed input)."""
-    mate = _matching_array(g)
+    mate, _ = _matching_array(g)
     edges = frozenset(
         (u, mate[u]) for u in range(g.n) if mate[u] > u
     )
@@ -258,7 +260,7 @@ def max_matching(g: Graph) -> Matching:
 
 def nu(g: Graph) -> int:
     """The matching number of ``g``."""
-    mate = _matching_array(g)
+    mate, _ = _matching_array(g)
     return sum(1 for u in range(g.n) if mate[u] > u)
 
 
@@ -320,7 +322,7 @@ def is_hypomatchable(g: Graph) -> bool:
 
     Also called factor-critical; the empty graph is not.  That holds iff
     the order is odd, a maximum matching misses exactly one vertex, and
-    every vertex is even in one alternating forest grown from it.  Every
+    every vertex is even in the Hungarian tree grown from it.  Every
     maximum matching then misses exactly one vertex, and the even
     vertices are those that some maximum matching misses (Gallai's lemma;
     Lovász & Plummer, *Matching Theory*, ch. 3), so G - v has a perfect
@@ -328,5 +330,5 @@ def is_hypomatchable(g: Graph) -> bool:
     """
     if g.n % 2 == 0:
         return False
-    mate = _matching_array(g)
-    return mate.count(-1) == 1 and len(_even_vertices(g, mate)) == g.n
+    mate, even = _matching_array(g, every_root=True)
+    return mate.count(-1) == 1 and len(even) == g.n

@@ -2,10 +2,11 @@
 properties it guarantees.
 
 ``gallai_edmonds`` reads the decomposition off one Edmonds run: a maximum
-matching, then one alternating forest grown from all its exposed
-vertices.  The definition itself (A holds the vertices whose deletion
-keeps the matching number) is computed only by the n+1-matching oracle
-that ``verify_ge_properties`` checks a decomposition against.
+matching whose every exposed vertex roots a failed search, and the even
+vertices of those Hungarian trees.  The definition itself (A holds the
+vertices whose deletion keeps the matching number) is computed only by
+the n+1-matching oracle that ``verify_ge_properties`` checks a
+decomposition against.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _components
-from .matching import (
-    _even_vertices,
-    _matching_array,
-    has_perfect_matching,
-    is_hypomatchable,
-    nu,
-)
+from .matching import _matching_array, has_perfect_matching, is_hypomatchable, nu
 
 
 class DecompositionMismatchError(ValueError):
@@ -54,13 +49,14 @@ class GEPropertyReport:
 
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
-    """The partition from one maximum matching and one alternating forest.
+    """The partition from one maximum-matching run.
 
-    A is the set of even vertices of the forest grown from every exposed
-    vertex, blossoms included: exactly the vertices some maximum matching
-    misses (Edmonds 1965; Lovász & Plummer, *Matching Theory*, ch. 3).
+    A is the set of even vertices, blossoms included, of the Hungarian
+    trees grown from every exposed vertex: exactly the vertices some
+    maximum matching misses (Edmonds 1965; Lovász & Plummer, *Matching
+    Theory*, ch. 3).
     """
-    return _partition(g, frozenset(_even_vertices(g, _matching_array(g))))
+    return _partition(g, frozenset(_matching_array(g, every_root=True)[1]))
 
 
 def _gallai_edmonds_by_definition(g: Graph) -> GEDecomposition:
@@ -109,7 +105,7 @@ def _has_neighborhood_surplus(g: Graph, B: frozenset[int], a_comps: list[list[in
         for w in g.neighbors(b)
         if w in comp_of
     ])
-    mate = _matching_array(incidence)
+    mate, _ = _matching_array(incidence)
     if -1 in mate[:nb]:
         return False
     reached = [False] * nb

@@ -11,7 +11,7 @@ import pytest
 from matchbounds import enumeration
 from matchbounds.enumeration import EnumerationConfig, enumerate_subcubic
 from matchbounds.graphs import Graph, degree_profile
-from matchbounds.matching import _even_vertices, _matching_array
+from matchbounds.matching import _matching_array
 
 _criterion_lines: list[str] = []
 
@@ -99,20 +99,20 @@ def certified_nu(g: Graph) -> int:
     Every vertex set B bounds n - 2*nu >= odd(G - B) - |B|, so a matching
     M and a set B with n - 2|M| = odd(G - B) - |B| prove nu = |M|.  M is
     the blossom code's mate array, checked here to be a matching of g; B
-    holds the neighbors outside A of the even vertices A of its
-    alternating forest.  The forest only proposes B: the equality is
+    holds the neighbors outside A of the even vertices A of the Hungarian
+    trees of that run.  The run only proposes B: the equality is
     checked here, with its own component count, so a matching that is
     not maximum or a wrong B fails it.
     """
     n, adj = g.n, g._adj
-    mate = _matching_array(g)
+    mate, even = _matching_array(g, every_root=True)
     size = 0
     for v, u in enumerate(mate):
         if u != -1:
             assert mate[u] == v and u in adj[v], (g, v, u)
             size += u > v
     in_a = [False] * n
-    for v in _even_vertices(g, mate):
+    for v in even:
         in_a[v] = True
     seen = [False] * n  # B starts seen, so the search runs in G - B
     for v in range(n):

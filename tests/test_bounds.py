@@ -19,7 +19,6 @@ from matchbounds.bounds import (
     closed_form_slack,
     valid_constant,
     counterexample,
-    counterexample_slacks,
     evaluate_bound,
     evaluate_bounds,
     evaluate_scaled,
@@ -204,8 +203,8 @@ def test_counterexample_scales_with_large_constant():
     assert spec == FamilySpec("G2", 7)
     assert g.n == 9 * 2 ** 8 - 2
     assert rep.slack < 0
-    slacks = counterexample_slacks("G2", 5, 2, triple("1/2", 0, 0), F(100))
-    assert slacks[0][1] >= 0  # one admissible step earlier is not yet violated
+    # One admissible step earlier, t = 5, is not yet violated.
+    assert closed_form_slack(FamilySpec("G2", 5), triple("1/2", 0, 0), F(100)) >= 0
 
 
 def test_counterexample_nu_certificate_raises(monkeypatch):
@@ -299,8 +298,7 @@ def test_counterexample_picks_most_violated_constraint():
 
 def test_counterexample_slack_decreases():
     tr = triple("1/3", "4/9", "1/3")
-    slacks = counterexample_slacks("G3", 2, 5, tr, F(0))
-    values = [s for _, s in slacks]
+    values = [closed_form_slack(FamilySpec("G3", t), tr, F(0)) for t in range(2, 7)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert all(s < 0 for s in values)
 

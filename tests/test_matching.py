@@ -76,7 +76,7 @@ def test_matching_certificate_raises(monkeypatch):
     import matchbounds.matching as matching
 
     # A mate array pairing vertices 0 and 2, which are not adjacent.
-    monkeypatch.setattr(matching, "_matching_array", lambda g: [2, -1, 0, -1])
+    monkeypatch.setattr(matching, "_matching_array", lambda g: ([2, -1, 0, -1], []))
     with pytest.raises(RuntimeError, match="non-edges"):
         max_matching(Graph(4, [(0, 1), (2, 3)]))
 

@@ -30,6 +30,28 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # Every name a module imports is used in it; ``__init__`` only
+    # re-exports, so it is skipped.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                if name not in used
+            ]
+    assert found == []
+
+
 def test_package_imports_only_the_standard_library():
     # The runtime depends on nothing outside the standard library.
     found = []

@@ -13,11 +13,7 @@ import matchbounds.structure
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, closed_nu, generate
 from matchbounds.graphs import Graph, _components
-from matchbounds.matching import (
-    _even_vertices,
-    has_perfect_matching,
-    is_hypomatchable,
-)
+from matchbounds.matching import _Forest, has_perfect_matching, is_hypomatchable
 from matchbounds.structure import (
     DecompositionMismatchError,
     GEDecomposition,
@@ -71,12 +67,14 @@ def test_mismatch_detection():
 
 
 def test_properties_hold_exhaustively(corpus_by_n):
-    # verify_ge_properties also checks the forest's partition against the
-    # n+1-matching definition.
+    # verify_ge_properties also checks the matching run's partition against
+    # the n+1-matching definition: on each graph and a vertex-deleted copy,
+    # which is often disconnected and then leaves several Hungarian trees.
     sampled = (random_subcubic(11 + seed % 50, seed) for seed in range(300))
     for g in (*connected_upto(corpus_by_n, 10), *sampled):
-        d = gallai_edmonds(g)
-        assert verify_ge_properties(g, d).all_true(), g
+        for h in (g, g.without_vertex(0)[0]):
+            d = gallai_edmonds(h)
+            assert verify_ge_properties(h, d).all_true(), h
 
 
 def _hypomatchable_by_definition(g: Graph) -> bool:
@@ -151,30 +149,50 @@ def test_nu_certified_by_tutte_berge(make, closed):
 
 
 def test_gallai_edmonds_matches_once(monkeypatch):
+    # One matching run, growing one forest, per decomposition and per
+    # hypomatchability test; the greedy seed leaves several exposed
+    # vertices on G3(5) and on P4 plus an isolated vertex.
     g = generate(FamilySpec("G3", 5))
     expected = matchbounds.structure._gallai_edmonds_by_definition(g)
     searches = []
+    forests = []
     search = matchbounds.structure._matching_array
 
-    def counted(g):
+    def counted(g, every_root=False):
         searches.append(g)
-        return search(g)
+        return search(g, every_root)
+
+    def counted_forest(*args):
+        forests.append(args)
+        return _Forest(*args)
 
     def forbidden(g):
         raise AssertionError("gallai_edmonds called nu")
 
     monkeypatch.setattr(matchbounds.structure, "_matching_array", counted)
+    monkeypatch.setattr(matchbounds.matching, "_Forest", counted_forest)
     monkeypatch.setattr(matchbounds.structure, "nu", forbidden)
     monkeypatch.setattr(matchbounds.matching, "nu", forbidden)
     assert gallai_edmonds(g) == expected
-    assert len(searches) == 1
+    assert len(searches) == 1 and len(forests) == 1
+    p4_plus_vertex = Graph(5, [(0, 1), (0, 2), (1, 3)])
+    for h, hypo in ((C5, True), (p4_plus_vertex, False)):
+        forests.clear()
+        assert is_hypomatchable(h) == hypo
+        assert len(forests) == 1, h
 
 
-def test_forest_rejects_non_maximum_matching():
-    # P4 with only its middle edge matched: the trees of 0 and 3 meet.
+def test_search_rejects_a_dead_tree_it_meets():
+    # P4 with only its middle edge matched, and the tree of 3 marked dead:
+    # the search from 0 reaches its even vertex 1, so 0 and 3 end an
+    # augmenting path.
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    forest = _Forest(p4._adj, [-1, 2, 1, -1])
+    for v in (1, 2, 3):
+        forest.dead[v] = True
+    forest.even[1] = forest.even[3] = True
     with pytest.raises(RuntimeError, match="matching is not maximum"):
-        _even_vertices(p4, [-1, 2, 1, -1])
+        forest.grow(0)
 
 
 def test_b_vertices_have_degree_at_least_two(corpus_by_n):
