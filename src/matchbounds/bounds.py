@@ -1,6 +1,8 @@
 """Evaluation and verification of linear lower bounds on the matching
 number, plus constructive counterexamples for coefficient triples outside
-the characterizing polyhedron.
+the characterizing polyhedron: the family witnessing the most violated
+constraint is searched (``families.first_member``) for its first member
+whose closed-form slack is negative.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from math import lcm
 from typing import Iterable
 
 from .families import (
-    _T_START_STEP,
     MAX_CERTIFIED_ORDER,
     FamilySpec,
-    _check_buildable,
     closed_nu,
+    closed_profile,
     family_for_halfspace,
+    first_member,
     generate,
-    profile_dot,
 )
 from .graphs import Graph, degree_profile
 from .matching import nu
@@ -168,38 +169,11 @@ def valid_constant(triple: CoefficientTriple) -> Fraction:
 
 
 def closed_form_slack(spec: FamilySpec, triple: CoefficientTriple, k: Fraction) -> Fraction:
-    """nu - (x3*n3 + x2*n2 + x1*n1 - k) for a family member, by closed forms."""
-    return closed_nu(spec) - (profile_dot(spec, triple.x3, triple.x2, triple.x1) - k)
-
-
-def _smallest_violating_t(family_id: str, triple: CoefficientTriple, k: Fraction) -> int:
-    """Smallest admissible t with strictly negative closed-form slack.
-
-    Slack is strictly decreasing in t for a triple violating the family's
-    constraint, so exponential search plus bisection over the admissible
-    arithmetic progression is exact.  A probe not yet violated that
-    ``generate`` would refuse ends the search with ``generate``'s error:
-    the order rises with t, so no member it can build serves.
-    """
-    start, step = _T_START_STEP[family_id]
-
-    def slack_at(j: int) -> Fraction:
-        return closed_form_slack(FamilySpec(family_id, start + step * j), triple, k)
-
-    if slack_at(0) < 0:
-        return start
-    hi = 1
-    while slack_at(hi) >= 0:
-        _check_buildable(FamilySpec(family_id, start + step * hi))
-        hi *= 2
-    lo = hi // 2  # slack(lo) >= 0 here
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if slack_at(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-    return start + step * hi
+    """nu - (x3*n3 + x2*n2 + x1*n1 - k) for a family member, by closed forms.
+    For a triple violating the family's constraint it falls strictly with t."""
+    prof = closed_profile(spec)
+    rhs = triple.x3 * prof.n3 + triple.x2 * prof.n2 + triple.x1 * prof.n1 - k
+    return closed_nu(spec) - rhs
 
 
 def counterexample(
@@ -210,7 +184,7 @@ def counterexample(
 
     Picks the violated constraint with the largest margin (ties broken by
     canonical constraint order), maps it to its witness family, and
-    returns the smallest admissible t certified by the closed forms.
+    returns the family's first member with negative closed-form slack.
     """
     k = Fraction(k)
     p = polyhedron_P()
@@ -218,16 +192,14 @@ def counterexample(
     if verdict.inside:
         raise TripleInPError(f"{triple} satisfies all six constraints")
     best = max(verdict.violated, key=lambda i: (p.halfspaces[i].margin(triple), -i))
-    fid = family_for_halfspace(best + 1)
-    t = _smallest_violating_t(fid, triple, k)
-    spec = FamilySpec(fid, t)
+    spec = first_member(family_for_halfspace(best + 1),
+                        lambda member: closed_form_slack(member, triple, k) < 0)
     g = generate(spec)
     lhs = closed_nu(spec)
     if g.n <= MAX_CERTIFIED_ORDER and nu(g) != lhs:
         raise RuntimeError("closed-form matching number disagrees with matcher")
-    rhs = profile_dot(spec, triple.x3, triple.x2, triple.x1) - k
-    slack = lhs - rhs
+    slack = closed_form_slack(spec, triple, k)
     if slack >= 0:
         raise RuntimeError(f"certificate {spec} has slack {slack}, not negative")
-    return spec, g, BoundReport(lhs=lhs, rhs=rhs, slack=slack, tight=False)
+    return spec, g, BoundReport(lhs=lhs, rhs=lhs - slack, slack=slack, tight=False)
 

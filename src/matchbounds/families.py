@@ -1,31 +1,49 @@
-"""Generators for the six extremal families G1(t)..G6(t).
+"""The six extremal families G1(t)..G6(t).
 
-Each family comes with closed forms for its degree profile and matching
-number.  Vertex numbering is frozen per family (root-first BFS for the
-trees, cycle-then-pendants for the cycle-based ones, hub-then-subdivision
-for G5) so serialized outputs are stable.
+One table, ``_FAMILIES``, states each family's admissible t, the
+constraint it witnesses and its closed forms; ``first_member`` searches a
+family's members.  Vertex numbering is frozen per family (root-first BFS
+for the trees, cycle-then-pendants for the cycle-based ones,
+hub-then-subdivision for G5) so serialized outputs are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import count
-from typing import Iterator
+from typing import Callable
 
 from .graphs import DegreeProfile, Graph
 
-# The admissible parameters of each family: t = start, start + step, ...
-_T_START_STEP = {
-    "G1": (1, 2),
-    "G2": (1, 2),
-    "G3": (2, 1),
-    "G4": (2, 1),
-    "G5": (4, 2),
-    "G6": (3, 2),
+
+@dataclass(frozen=True)
+class _Family:
+    """One family's facts: the admissible t = start, start + step, ...; the
+    1-based position of the ``polyhedron_P`` constraint it witnesses; and
+    closed forms in t for its degree counts (n1, n2, n3) and matching number."""
+
+    start: int
+    step: int
+    witnesses: int
+    counts: Callable[[int], tuple[int, int, int]]
+    nu: Callable[[int], int]
+
+
+_FAMILIES = {
+    "G1": _Family(1, 2, 3,  # x3 + x1 <= 2/3
+                  lambda t: (3 * 2 ** t, 0, 3 * 2 ** t - 2), lambda t: 2 ** (t + 1) - 1),
+    "G2": _Family(1, 2, 1,  # x3 <= 4/9
+                  lambda t: (0, 0, 9 * 2 ** (t + 1) - 2), lambda t: 2 ** (t + 3) - 1),
+    "G3": _Family(2, 1, 5,  # x3 + x2 + x1 <= 1
+                  lambda t: (t, t, t), lambda t: t),
+    "G4": _Family(2, 1, 6,  # x3 + x2/6 <= 1/2
+                  lambda t: (0, t, 6 * t), lambda t: 3 * t),
+    "G5": _Family(4, 2, 4,  # x3 + 3x2/2 <= 1
+                  lambda t: (0, 3 * t // 2, t), lambda t: t),
+    "G6": _Family(3, 2, 2,  # x2 <= 1/2
+                  lambda t: (0, t, 0), lambda t: (t - 1) // 2),
 }
 
-FAMILY_IDS = tuple(_T_START_STEP)
+FAMILY_IDS = tuple(_FAMILIES)
 
 # The closed forms describe a member at any t, but ``generate`` refuses to
 # build one with more than MAX_GENERATED_ORDER vertices.  Up to
@@ -39,12 +57,6 @@ class InvalidParameterError(ValueError):
     """Family parameter violates its parity or range constraint."""
 
 
-def _start_step(family_id: str) -> tuple[int, int]:
-    if family_id not in FAMILY_IDS:
-        raise InvalidParameterError(f"unknown family {family_id!r}")
-    return _T_START_STEP[family_id]
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family member: which family, and the size parameter t."""
@@ -53,17 +65,15 @@ class FamilySpec:
     t: int
 
     def __post_init__(self):
-        start, step = _start_step(self.family_id)
-        if self.t < start or (self.t - start) % step:
+        fid, t = self.family_id, self.t
+        if fid not in FAMILY_IDS:
+            raise InvalidParameterError(f"unknown family {fid!r}")
+        if not isinstance(t, int):
+            raise InvalidParameterError(f"{fid} requires integer t, got {t!r}")
+        start, step = _FAMILIES[fid].start, _FAMILIES[fid].step
+        if t < start or (t - start) % step:
             parity = "" if step == 1 else "odd " if start % 2 else "even "
-            raise InvalidParameterError(
-                f"{self.family_id} requires {parity}t >= {start}, got {self.t}"
-            )
-
-
-def admissible_t(family_id: str) -> Iterator[int]:
-    """The admissible parameter values of a family, ascending."""
-    return count(*_start_step(family_id))
+            raise InvalidParameterError(f"{fid} requires {parity}t >= {start}, got {t}")
 
 
 def _cubic_tree_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:
@@ -110,7 +120,7 @@ def _check_buildable(spec: FamilySpec) -> None:
     # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
     # spares a huge t the evaluation of 2**t.
     if ((spec.family_id in ("G1", "G2") and spec.t > 64)
-            or family_order(spec) > MAX_GENERATED_ORDER):
+            or closed_profile(spec).order > MAX_GENERATED_ORDER):
         raise InvalidParameterError(f"{spec.family_id}(t={spec.t}) has more than "
                                     f"{MAX_GENERATED_ORDER} vertices; too large to build")
 
@@ -153,64 +163,47 @@ def generate(spec: FamilySpec) -> Graph:
 
 def closed_profile(spec: FamilySpec) -> DegreeProfile:
     """Degree profile by closed form; always one connected component."""
-    t = spec.t
-    fid = spec.family_id
-    if fid == "G1":
-        n1, n2, n3 = 3 * 2 ** t, 0, 3 * 2 ** t - 2
-    elif fid == "G2":
-        n1, n2, n3 = 0, 0, 9 * 2 ** (t + 1) - 2
-    elif fid == "G3":
-        n1, n2, n3 = t, t, t
-    elif fid == "G4":
-        n1, n2, n3 = 0, t, 6 * t
-    elif fid == "G5":
-        n1, n2, n3 = 0, 3 * t // 2, t
-    else:
-        n1, n2, n3 = 0, t, 0
+    n1, n2, n3 = _FAMILIES[spec.family_id].counts(spec.t)
     return DegreeProfile(n0=0, n1=n1, n2=n2, n3=n3, c=1)
 
 
 def closed_nu(spec: FamilySpec) -> int:
     """Matching number by closed form."""
-    t = spec.t
-    return {
-        "G1": 2 ** (t + 1) - 1,
-        "G2": 2 ** (t + 3) - 1,
-        "G3": t,
-        "G4": 3 * t,
-        "G5": t,
-        "G6": (t - 1) // 2,
-    }[spec.family_id]
-
-
-def family_order(spec: FamilySpec) -> int:
-    """Vertex count by closed form."""
-    return closed_profile(spec).order
-
-
-def profile_dot(spec: FamilySpec, x3: Fraction, x2: Fraction, x1: Fraction) -> Fraction:
-    """x3*n3 + x2*n2 + x1*n1 for the closed-form profile."""
-    prof = closed_profile(spec)
-    return x3 * prof.n3 + x2 * prof.n2 + x1 * prof.n1
-
-
-# Which family witnesses the necessity of each constraint, keyed by
-# 1-based position in the canonical constraint order of the coefficient
-# polyhedron.
-_FAMILY_FOR_HALFSPACE = {
-    1: "G2",  # x3 <= 4/9
-    2: "G6",  # x2 <= 1/2
-    3: "G1",  # x3 + x1 <= 2/3
-    4: "G5",  # x3 + 3x2/2 <= 1
-    5: "G3",  # x3 + x2 + x1 <= 1
-    6: "G4",  # x3 + x2/6 <= 1/2
-}
+    return _FAMILIES[spec.family_id].nu(spec.t)
 
 
 def family_for_halfspace(index: int) -> str:
     """Family id witnessing the necessity of constraint ``index``
     (1-based position in the canonical constraint order)."""
-    if index not in _FAMILY_FOR_HALFSPACE:
-        raise ValueError(f"half-space index must be 1..6, got {index}")
-    return _FAMILY_FOR_HALFSPACE[index]
+    for family_id, family in _FAMILIES.items():
+        if family.witnesses == index:
+            return family_id
+    raise ValueError(f"half-space index must be 1..6, got {index}")
 
+
+def first_member(family_id: str, holds: Callable[[FamilySpec], bool]) -> FamilySpec:
+    """The smallest member of family ``family_id`` on which ``holds`` is
+    true, for a ``holds`` that stays true on every larger member once it is.
+
+    Doubling, then bisection, over the admissible t.  A probe on which
+    ``holds`` is still false and that ``generate`` would refuse ends the
+    search with ``generate``'s error: the order rises with t, so no member
+    it can build serves.
+    """
+    family = _FAMILIES[family_id]
+
+    def member(j: int) -> FamilySpec:
+        return FamilySpec(family_id, family.start + family.step * j)
+
+    hi = 0
+    while not holds(member(hi)):
+        _check_buildable(member(hi))
+        hi = max(2 * hi, 1)
+    lo = hi // 2  # the probe before hi, where holds was false; hi itself if hi is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(member(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return member(hi)

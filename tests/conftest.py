@@ -5,11 +5,13 @@ of the run."""
 from __future__ import annotations
 
 import os
+from itertools import count
 
 import pytest
 
 from matchbounds import enumeration
 from matchbounds.enumeration import EnumerationConfig, enumerate_subcubic
+from matchbounds.families import FamilySpec, InvalidParameterError
 from matchbounds.graphs import Graph, degree_profile
 from matchbounds.matching import _matching_array
 
@@ -149,3 +151,14 @@ def relabel(g: Graph, perm) -> Graph:
     """Image of ``g`` under the vertex permutation ``perm`` (old index -> new)."""
     p = list(perm)
     return Graph(g.n, ((p[u], p[v]) for u, v in g.edges))
+
+
+def family_members(family_id: str):
+    """The members of a family in ascending t, as ``FamilySpec``'s parameter
+    gate admits them; the sequence does not end."""
+    for t in count():
+        try:
+            spec = FamilySpec(family_id, t)
+        except InvalidParameterError:
+            continue
+        yield spec

@@ -28,11 +28,9 @@ from matchbounds.enumeration import random_subcubic
 from matchbounds.families import (
     FAMILY_IDS,
     FamilySpec,
-    admissible_t,
     closed_nu,
     closed_profile,
     family_for_halfspace,
-    family_order,
     generate,
 )
 from matchbounds.graphs import Graph, degree_profile
@@ -47,7 +45,7 @@ from matchbounds.polytope import (
 )
 from matchbounds.structure import gallai_edmonds, verify_ge_properties
 
-from .conftest import connected_upto, record_criterion
+from .conftest import connected_upto, family_members, record_criterion
 
 F = Fraction
 
@@ -121,8 +119,7 @@ def test_criterion_03_sharpness_fixtures():
         if not evaluate_bound(g, by_name[name]).tight:
             failures.append((name, "fixed"))
     for fid, name in family_pairs:
-        t0 = next(iter(admissible_t(fid)))
-        g = generate(FamilySpec(fid, t0))
+        g = generate(next(family_members(fid)))
         if not evaluate_bound(g, by_name[name]).tight:
             failures.append((name, fid))
     ok = not failures
@@ -134,9 +131,8 @@ def test_criterion_04_family_closed_forms():
     checked = 0
     failures = []
     for fid in FAMILY_IDS:
-        for t in admissible_t(fid):
-            spec = FamilySpec(fid, t)
-            if family_order(spec) > 60:
+        for spec in family_members(fid):
+            if closed_profile(spec).order > 60:
                 break
             g = generate(spec)
             if degree_profile(g) != closed_profile(spec):
@@ -202,9 +198,8 @@ def test_criterion_05_counterexamples_for_every_constraint():
             ok = False
             continue
         spec, _, rep = counterexample(probe, F(0))
-        later_t = dropwhile(lambda t: t < spec.t, admissible_t(spec.family_id))
-        slacks = [closed_form_slack(FamilySpec(spec.family_id, t), probe, F(0))
-                  for t in islice(later_t, 5)]
+        later = dropwhile(lambda m: m.t < spec.t, family_members(spec.family_id))
+        slacks = [closed_form_slack(member, probe, F(0)) for member in islice(later, 5)]
         decreasing = all(b < a for a, b in zip(slacks, slacks[1:]))
         negative = all(s < 0 for s in slacks)
         if not (spec.family_id == expected_family and rep.slack < 0

@@ -30,8 +30,9 @@ from matchbounds.families import (
     FamilySpec,
     InvalidParameterError,
     closed_nu,
+    closed_profile,
     family_for_halfspace,
-    family_order,
+    first_member,
     generate,
 )
 from matchbounds.graphs import Graph, NotSubcubicError, degree_profile, emit_graph6
@@ -219,18 +220,17 @@ def test_counterexample_slack_certificate_raises(monkeypatch):
     import matchbounds.bounds as bounds
 
     # G2(t=1) is not yet violated under K = 100 (t = 7 is the first).
-    monkeypatch.setattr(bounds, "_smallest_violating_t", lambda fid, tr, k: 1)
+    monkeypatch.setattr(bounds, "first_member", lambda fid, holds: FamilySpec(fid, 1))
     with pytest.raises(RuntimeError, match="not negative"):
         counterexample(triple("1/2", 0, 0), F(100))
 
 
 def test_smallest_violating_t_cap():
-    from matchbounds.bounds import _smallest_violating_t
-
     # 1/3 < 4/9: no G2 member violates, so the search stops at the first
     # probe that generate could not build.
+    probe = triple("1/3", 0, 0)
     with pytest.raises(InvalidParameterError, match="too large to build"):
-        _smallest_violating_t("G2", triple("1/3", 0, 0), F(0))
+        first_member("G2", lambda member: closed_form_slack(member, probe, F(0)) < 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,7 +251,7 @@ def test_counterexample_certifies_any_outside_triple(x3, x2, x1, k):
     spec, g, rep = counterexample(tr, k)
     assert rep.slack < 0
     assert rep.lhs == closed_nu(spec)
-    assert g.n == family_order(spec)
+    assert g.n == closed_profile(spec).order
     expected = family_for_halfspace(
         1 + max(verdict.violated, key=lambda i: (p.halfspaces[i].margin(tr), -i))
     )

@@ -2,24 +2,26 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
-from itertools import takewhile
+from itertools import islice
 
 import pytest
 
 from matchbounds.families import (
+    _FAMILIES,
     FAMILY_IDS,
     FamilySpec,
     InvalidParameterError,
-    admissible_t,
     closed_nu,
     closed_profile,
     family_for_halfspace,
-    family_order,
     generate,
 )
 from matchbounds.graphs import Graph, degree_profile, is_connected
 from matchbounds.matching import nu
+
+from .conftest import family_members
 
 
 def _is_bipartite(g: Graph) -> bool:
@@ -74,12 +76,11 @@ def test_closed_nu_examples():
 
 def test_closed_forms_match_generated_graphs():
     for fid in FAMILY_IDS:
-        for t in admissible_t(fid):
-            spec = FamilySpec(fid, t)
-            if family_order(spec) > 400:
+        for spec in family_members(fid):
+            if closed_profile(spec).order > 400:
                 break
             g = generate(spec)
-            assert g.n == family_order(spec)
+            assert g.n == closed_profile(spec).order
             assert degree_profile(g) == closed_profile(spec), spec
             assert is_connected(g), spec
             if g.n <= 60:
@@ -103,13 +104,15 @@ def test_parameter_gates():
         ("G6", 4): "G6 requires odd t >= 3, got 4",
         ("G6", 1): "G6 requires odd t >= 3, got 1",
         ("G7", 1): "unknown family 'G7'",
+        ("G3", 3.0): "G3 requires integer t, got 3.0",
+        ("G6", "5"): "G6 requires integer t, got '5'",
     }.items():
         with pytest.raises(InvalidParameterError) as excinfo:
             FamilySpec(fid, bad_t)
         assert str(excinfo.value) == message
-    # The gate and the admissible sequence agree.
+    # The gate and the table's admissible sequence agree.
     for fid in FAMILY_IDS:
-        admissible = set(takewhile(lambda t: t <= 20, admissible_t(fid)))
+        admissible = set(range(_FAMILIES[fid].start, 21, _FAMILIES[fid].step))
         for t in range(21):
             try:
                 FamilySpec(fid, t)
@@ -130,8 +133,7 @@ def test_constraint_to_family_mapping():
 
 def test_admissible_t_sequences():
     def first(fid, k):
-        it = admissible_t(fid)
-        return [next(it) for _ in range(k)]
+        return [spec.t for spec in islice(family_members(fid), k)]
 
     assert first("G1", 3) == [1, 3, 5]
     assert first("G2", 3) == [1, 3, 5]
@@ -139,3 +141,17 @@ def test_admissible_t_sequences():
     assert first("G4", 3) == [2, 3, 4]
     assert first("G5", 3) == [4, 6, 8]
     assert first("G6", 3) == [3, 5, 7]
+
+
+def test_closed_forms_are_lazy():
+    # Each closed form evaluates only its own family's expression, so a
+    # large t of a linear family costs no 2**t of the exponential ones.
+    for spec in (FamilySpec("G6", 10**6 + 1), FamilySpec("G3", 10**6)):
+        for closed_form in (closed_nu, closed_profile):
+            tracemalloc.start()
+            try:
+                closed_form(spec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (spec, closed_form.__name__, peak)
