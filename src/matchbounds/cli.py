@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -421,6 +422,12 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the run manifest to PATH instead of stderr")
 
 
+# argparse reads a token that starts with "-" as an option unless it
+# matches the private ``ArgumentParser._negative_number_matcher``, which
+# by default covers -3 and -.5 but not -1/3.  The parsers that take
+# fractions get this one, which adds -p/q.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
 # Flags that only qualify another flag: (flag, the flag it needs).
 _QUALIFIERS = (("size", "random"), ("seed", "random"), ("k", "triple"))
 
@@ -448,8 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the 13 extreme points of the bounded part")
     for name, extra in (("contains", None), ("project", None), ("shift", "lam")):
         sp = poly_subs.add_parser(name, parents=[common])
-        sp.add_argument("triple", nargs=3, metavar=("X3", "X2", "X1"),
-                        help="exact fractions, p/q syntax")
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
+        # A tuple metavar breaks argparse's help and missing-argument
+        # messages for a positional (CPython 3.11).
+        sp.add_argument("triple", nargs=3, metavar="X",
+                        help="x3 x2 x1: exact fractions, p/q syntax")
         if extra:
             sp.add_argument("--lambda", dest="lam", type=parse_fraction,
                             required=True, help="shift amount (fraction, >= 0)")
@@ -457,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", parents=[common],
                           help="evaluate bounds over a graph corpus")
     ver.set_defaults(run=cmd_verify)
+    ver._negative_number_matcher = _NEGATIVE_NUMBER
     _add_corpus_flags(ver)
     ver.add_argument("--bounds", metavar="LIST",
                      help="'all' or comma list from b1..b5 (default: all)")
@@ -481,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     ctr = subs.add_parser("counterexample", parents=[common],
                           help="certified violation for a triple outside the polyhedron")
     ctr.set_defaults(run=cmd_counterexample)
+    ctr._negative_number_matcher = _NEGATIVE_NUMBER
     ctr.add_argument("--triple", nargs=3, required=True, metavar=("X3", "X2", "X1"))
     ctr.add_argument("--k", type=parse_fraction, help="constant K (default 0)")
 

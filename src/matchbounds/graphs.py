@@ -32,8 +32,11 @@ class Graph:
 
     The one stored form is the adjacency tuple ``_adj``: per vertex, its
     neighbours as a sorted tuple.  ``edges`` and everything else is read
-    off it.  ``Graph(n, edges)`` validates and normalises its input; the
-    trusted ``_from_adjacency`` takes an adjacency tuple as it is, for the
+    off it.  ``Graph(n, edges)`` validates and normalises its input in one
+    pass over ``edges``: each edge is checked and appended to both
+    endpoints' lists, and each list is then sorted, with its repeats
+    dropped, so reversed and repeated pairs collapse.  The trusted
+    ``_from_adjacency`` takes an adjacency tuple as it is, for the
     decoders and for ``induced``, which produce one already sorted.
     Instances are immutable after construction, so concurrent shared use
     is safe.
@@ -44,19 +47,21 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        norm = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+        for nb in adj:
+            nb.sort()
+        rows = tuple(map(tuple, adj))
+        if sum(map(len, map(set, rows))) < sum(map(len, rows)):  # a repeated pair
+            rows = tuple(tuple(sorted(set(nb))) for nb in rows)
         self.n = n
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self._adj = rows
 
     @classmethod
     def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":

@@ -7,6 +7,14 @@ vertices of those Hungarian trees.  The definition itself (A holds the
 vertices whose deletion keeps the matching number) is computed only by
 the n+1-matching oracle that ``verify_ge_properties`` checks a
 decomposition against.
+
+The properties of the A- and C-components take one matching run per
+side, on the subgraph induced on all of A or all of C.  A maximum
+matching of a disjoint union is a union of maximum matchings of its
+components, and the vertices some maximum matching misses split the same
+way.  So one run on G[A] tells whether every A-component is
+factor-critical, and one run on G[C] whether every C-component has a
+perfect matching; see ``_ge_properties``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _components
-from .matching import _matching_array, has_perfect_matching, is_hypomatchable, nu
+from .matching import _matching_array, has_perfect_matching, nu
 
 
 class DecompositionMismatchError(ValueError):
@@ -136,12 +144,24 @@ def verify_ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
 
 def _ge_properties(g: Graph, d: GEDecomposition) -> GEPropertyReport:
     """The three structural guarantees, for a ``d`` already known to be
-    the decomposition of ``g``."""
+    the decomposition of ``g``; each check is exact for any split of the
+    vertices into A, B and C.
+
+    One matching run on G[A] tests every A-component.  Its maximum
+    matching restricts to a maximum matching of each component, and,
+    since the run searches from every exposed vertex, its even vertices
+    are the vertices that some maximum matching of their own component
+    misses.  A connected graph in which every vertex is missed by some
+    maximum matching is factor-critical (Gallai's lemma), and a
+    factor-critical graph is such a graph.  So every A-component is
+    hypomatchable iff every vertex of A is even; a component that the
+    run matches perfectly roots no tree and so has no even vertex.
+    Likewise G[C] has a perfect matching iff each C-component has one.
+    """
     a_comps = _components(g._adj, d.A)
-    hypo = all(is_hypomatchable(g.induced(comp)[0]) for comp in a_comps)
-    perfect = all(
-        has_perfect_matching(g.induced(comp)[0]) for comp in _components(g._adj, d.C)
-    )
+    _, even = _matching_array(g.induced(d.A)[0], every_root=True)
+    hypo = len(even) == len(d.A)
+    perfect = has_perfect_matching(g.induced(d.C)[0])
     surplus = _has_neighborhood_surplus(g, d.B, a_comps)
     return GEPropertyReport(
         a_components_hypomatchable=hypo,

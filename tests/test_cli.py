@@ -605,6 +605,50 @@ def test_bound_list_selection(capsys):
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
+    for name in ("contains", "project", "shift"):
+        code, out, _ = run(capsys, "polytope", name, "--help")
+        assert code == 0 and " X X X" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "contains"],
+    ["polytope", "contains", "--json"],
+    ["polytope", "project", "1/3"],
+    ["polytope", "shift", "--lambda", "1"],
+], ids=" ".join)
+def test_missing_triple_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: the following arguments are required: X" in err
+    assert "Traceback" not in err
+
+
+# Negative p/q tokens are values wherever a fraction is read.
+_NEGATIVE_FRACTIONS = [
+    (["polytope", "contains", "-1/3", "0", "1/2"], 0, "inside (valid constant K=5/3)"),
+    (["polytope", "project", "-1/3", "0", "1/2"], 0, "0,0,1/6"),
+    (["polytope", "shift", "-1/3", "0", "1/2", "--lambda", "1/3"], 0, "-2/3,0,5/6 in P: yes"),
+    (["counterexample", "--triple", "-1/3", "0", "1"], 0,
+     "triple is inside the polyhedron; no counterexample exists"),
+    (["counterexample", "--triple", "1/2", "1/2", "1", "--k", "-1/3"], 1,
+     "family=G3 t=2 n=6 graph6=El__ nu=2 rhs=13/3 slack=-7/3 (~-2.333333)"),
+    (["verify", "--enumerate", "2", "--triple", "-1/3", "0", "1", "--k", "-2/3"], 1,
+     "graph=@ bound=custom nu=0 rhs=2/3 slack=-2/3 (~-0.666667) tight=no\n"
+     "graph=A_ bound=custom nu=1 rhs=8/3 slack=-5/3 (~-1.666667) tight=no"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, expected", _NEGATIVE_FRACTIONS,
+                         ids=[" ".join(argv) for argv, *_ in _NEGATIVE_FRACTIONS])
+def test_negative_fractions_are_values(capsys, argv, exit_code, expected):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.strip()) == (exit_code, expected)
+
+
+def test_negative_lambda_is_refused_as_a_value(capsys):
+    code, out, err = run(capsys, "polytope", "shift", "0", "0", "1/2", "--lambda", "-1/3")
+    assert (code, out) == (2, "")
+    assert "lambda must be >= 0, got -1/3" in err
 
 
 def test_ge_random_corpus(capsys):

@@ -60,17 +60,83 @@ _GRAPH6_FIXTURES = [
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(-1,2\) out of range for n=3$"):
+        Graph(3, [(-1, 2)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
         Graph(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    # An out-of-range loop is reported as out of range.
+    with pytest.raises(ValueError, match=r"^edge \(5,5\) out of range for n=3$"):
+        Graph(3, [(5, 5)])
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1$"):
         Graph(-1)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 7)], "self-loop at vertex 2"),
+    ([(0, 1), (0, 7), (2, 2)], "edge (0,7) out of range for n=3"),
+    ([(1, 0), (1, 0), (9, 1), (0, 0)], "edge (9,1) out of range for n=3"),
+])
+def test_graph_reports_the_first_bad_edge(edges, message):
+    for source in (edges, iter(edges)):
+        with pytest.raises(ValueError) as info:
+            Graph(3, source)
+        assert str(info.value) == message
 
 
 def test_graph_deduplicates_edges():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert len(g.edges) == 1
+    g = Graph(4, [(2, 1), (0, 1), (1, 2), (3, 1), (1, 0), (1, 3), (2, 1)])
+    assert g._adj == ((1,), (0, 2, 3), (1,), (1,))
+    assert g == Graph(4, [(0, 1), (1, 2), (1, 3)])
+
+
+def test_graph_reads_its_edges_once():
+    class Once:
+        def __init__(self, edges):
+            self.edges, self.reads = edges, 0
+
+        def __iter__(self):
+            self.reads += 1
+            return iter(self.edges)
+
+    source = Once([(0, 1), (1, 2), (2, 0)])
+    assert Graph(3, source) == Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert source.reads == 1
+    generated = Graph(4, ((v, (v + 1) % 4) for v in range(4)))
+    assert generated._adj == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+
+def test_graph_of_order_zero():
+    g = Graph(0)
+    assert (g.n, g._adj, g.edges) == (0, (), frozenset())
+    assert g == Graph(0, []) == Graph(0, iter(()))
+
+
+def test_graph_normalises_like_a_reference():
+    # Seeded random edge lists, each with repeats in both orientations:
+    # the graph holds the normalised pairs and sorted neighbour tuples.
+    rng = random.Random(11)
+    repeated = 0
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append(rng.choice([(u, v), (v, u)]))
+        rng.shuffle(edges)
+        pairs = {(min(e), max(e)) for e in edges}
+        repeated += len(pairs) < len(edges)
+        g = Graph(n, edges)
+        assert g.edges == pairs
+        assert g._adj == tuple(
+            tuple(sorted({w for e in pairs if u in e for w in e if w != u})) for u in range(n)
+        )
+    assert repeated > 200
 
 
 def test_graph_is_immutable():

@@ -13,10 +13,11 @@ import matchbounds.structure
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, closed_nu, generate
 from matchbounds.graphs import Graph, _components
-from matchbounds.matching import _Forest, has_perfect_matching, is_hypomatchable
+from matchbounds.matching import _Forest, brute_force_nu, has_perfect_matching, is_hypomatchable
 from matchbounds.structure import (
     DecompositionMismatchError,
     GEDecomposition,
+    _ge_properties,
     _has_neighborhood_surplus,
     gallai_edmonds,
     verify_ge_properties,
@@ -133,6 +134,52 @@ def test_ge_property_checks_match_their_definitions(corpus_by_n):
             assert surplus == _surplus_by_definition(g, B, a_comps), (g, A, B)
             verdicts["surplus", surplus] += 1
     assert min(verdicts.values()) > 100 and len(verdicts) == 4, verdicts
+
+
+def test_one_run_verdicts_match_per_component_ones(corpus_by_n):
+    # One matching run per side against one test per component and the
+    # definitions: on each graph and a vertex-deleted copy, on the
+    # decomposition, where both verdicts hold, and on a seeded random
+    # split into A, B and C, where they often fail.
+    rng = random.Random(21)
+    verdicts = Counter()
+    for g in connected_upto(corpus_by_n, 10):
+        for h in (g, g.without_vertex(0)[0]):
+            d = gallai_edmonds(h)
+            side = [rng.randrange(3) for _ in range(h.n)]
+            split = [frozenset(v for v in range(h.n) if side[v] == s) for s in range(3)]
+            for A, B, C in ((d.A, d.B, d.C), split):
+                rep = _ge_properties(h, GEDecomposition(A=A, B=B, C=C))
+                a_comps = [h.induced(comp)[0] for comp in _components(h._adj, A)]
+                c_comps = [h.induced(comp)[0] for comp in _components(h._adj, C)]
+                hypo = all(map(is_hypomatchable, a_comps))
+                perfect = all(map(has_perfect_matching, c_comps))
+                assert hypo == all(map(_hypomatchable_by_definition, a_comps)), (h, A)
+                assert perfect == all(2 * brute_force_nu(c) == c.n for c in c_comps), (h, C)
+                assert rep.a_components_hypomatchable == hypo, (h, A)
+                assert rep.c_components_perfectly_matched == perfect, (h, C)
+                verdicts["hypomatchable", hypo] += 1
+                verdicts["perfect", perfect] += 1
+    assert min(verdicts.values()) > 100 and len(verdicts) == 4, verdicts
+
+
+def test_ge_properties_match_once_per_side(monkeypatch):
+    # G2(3) has 31 A-components: one run for A, one for the empty C and
+    # one for the incidence graph of B and the components.
+    g = generate(FamilySpec("G2", 3))
+    d = gallai_edmonds(g)
+    assert len(_components(g._adj, d.A)) >= 10 and d.B
+    runs = []
+    search = matchbounds.matching._matching_array
+
+    def counted(g, every_root=False):
+        runs.append(g)
+        return search(g, every_root)
+
+    monkeypatch.setattr(matchbounds.structure, "_matching_array", counted)
+    monkeypatch.setattr(matchbounds.matching, "_matching_array", counted)
+    assert _ge_properties(g, d).all_true()
+    assert len(runs) <= 3
 
 
 @pytest.mark.parametrize("make, closed", [
