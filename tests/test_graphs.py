@@ -116,7 +116,7 @@ def test_graph_of_order_zero():
 
 
 def test_graph_normalises_like_a_reference():
-    # Seeded random edge lists, each with repeats in both orientations:
+    # Seeded random edge lists, most with repeats in either orientation:
     # the graph holds the normalised pairs and sorted neighbour tuples.
     rng = random.Random(11)
     repeated = 0
