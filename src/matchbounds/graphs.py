@@ -34,8 +34,8 @@ class Graph:
     neighbours as a sorted tuple.  ``edges`` and everything else is read
     off it.  ``Graph(n, edges)`` validates and normalises its input in one
     pass over ``edges``: each edge is checked and appended to both
-    endpoints' lists, and each list then has its repeats dropped and is
-    sorted, so reversed and repeated pairs collapse.  The trusted
+    endpoints' lists, and each list is then sorted, with its repeats
+    dropped, so reversed and repeated pairs collapse.  The trusted
     ``_from_adjacency`` takes an adjacency tuple as it is, for the
     decoders and for ``induced``, which produce one already sorted.
     Instances are immutable after construction, so concurrent shared use
@@ -55,8 +55,16 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].append(v)
             adj[v].append(u)
+        # Sorting in place and counting with sets is cheaper than
+        # sorted(set(nb)) on every list, so lists are rebuilt without
+        # repeats only when some list has one.
+        for nb in adj:
+            nb.sort()
+        rows = tuple(map(tuple, adj))
+        if sum(map(len, map(set, rows))) < sum(map(len, rows)):
+            rows = tuple(tuple(sorted(set(nb))) for nb in rows)
         self.n = n
-        self._adj = tuple(tuple(sorted(set(nb))) for nb in adj)
+        self._adj = rows
 
     @classmethod
     def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
