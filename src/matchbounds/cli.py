@@ -221,17 +221,22 @@ def report_json(graph_json: str, bound_json: str, lhs: int, rhs: int, slack: int
 def _verify_one(
     item: Graph | bytes, *, scaled: ScaledBounds, names: list[str], as_json: bool,
     tight_only: bool,
-) -> tuple[str, int, int] | str:
+) -> tuple[str, int, int] | str | ValueError:
     """Check one corpus item, a graph or a ``--file`` line decoded here
     (in a worker under ``--jobs``), against each scaled bound, named by
     ``names`` (under ``as_json``, names already JSON-escaped).
 
     Returns the output lines as one text, with the number of violated and
     of tight bounds; or the line to print when the graph is not subcubic,
-    or is disconnected under a flat K.  All work is in integers over the
-    common denominator; the graph6 text, as read or encoded (``_decode``),
-    is made and escaped once per graph and only when a line is printed."""
-    g, line = _decode(item)
+    or is disconnected under a flat K; or the error of a malformed line,
+    for the caller to raise in stream order, so that a pool task does not
+    lose the results before it.  All work is in integers over the common
+    denominator; the graph6 text, as read or encoded (``_decode``), is
+    made and escaped once per graph and only when a line is printed."""
+    try:
+        g, line = _decode(item)
+    except ValueError as exc:
+        return exc
     try:
         lhs, values = evaluate_scaled(g, scaled)
     except (NotSubcubicError, NotConnectedError) as exc:
@@ -246,6 +251,16 @@ def _verify_one(
     lines = [report(text, name, lhs, rhs, slack, den) for name, rhs, slack in shown]
     violations = sum(slack < 0 for _, slack in values)
     return "\n".join(lines), violations, sum(slack == 0 for _, slack in values)
+
+
+# Corpus items per pool task under --jobs.  The parent's cost follows the
+# number of tasks, not the work in them: CPython 3.11's Pool wakes its
+# worker-handler thread on every result waiting in the pipe
+# (``Pool._get_sentinels`` includes ``outqueue._reader``), and each wake-up
+# checks every worker's exit code.  On 5 000 graphs of order 13-40 at
+# --jobs 2 (2 vCPUs), 64 items cost the parent 0.12-0.14 s of CPU time
+# and 256 items 0.07 s; 128 and 512 ran slower than 256.
+POOL_CHUNK = 256
 
 
 def cmd_verify(args) -> int:
@@ -263,10 +278,12 @@ def cmd_verify(args) -> int:
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(Pool(args.jobs))
-            results = pool.imap(check, stream, chunksize=64)
+            results = pool.imap(check, stream, chunksize=POOL_CHUNK)
         else:
             results = map(check, stream)
         for result in results:
+            if isinstance(result, ValueError):
+                raise result
             if isinstance(result, str):
                 counts["invalid"] += 1
                 print(result, file=sys.stderr)

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchbounds.bounds
 import matchbounds.cli
 import matchbounds.structure
 from matchbounds.cli import main
 from matchbounds.enumeration import random_subcubic
-from matchbounds.families import FamilySpec, generate
+from matchbounds.families import FAMILY_IDS, FamilySpec, generate
 from matchbounds.graphs import MAX_GRAPH6_ORDER, Graph, emit_graph6
 
 TRIANGLE_G6 = "Bw"
@@ -196,15 +201,27 @@ def _start_script(*argv: str, **kwargs) -> subprocess.Popen:
                             start_new_session=True, **kwargs)
 
 
-def _wait(proc: subprocess.Popen, timeout: float = 60) -> int:
+def _wait(proc: subprocess.Popen, timeout: float = 60, linger: float = 5) -> int:
     """Exit code of ``proc``; fails the test, rather than hanging it, if the
-    run outlives ``timeout``, and then kills its worker processes too."""
+    run outlives ``timeout``, or if a process of its group, such as a pool
+    worker, is still there ``linger`` seconds after it ended.  Either way
+    it kills the group."""
     try:
-        return proc.wait(timeout=timeout)
+        code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         pytest.fail(f"still running after {timeout} s: {proc.args}")
+    deadline = time.monotonic() + linger
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return code
+        if time.monotonic() > deadline:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail(f"left a process running {linger} s after it exited: {proc.args}")
+        time.sleep(0.02)
 
 
 def _run_script(tmp_path, *argv: str) -> tuple[int, str, str]:
@@ -217,8 +234,10 @@ def _run_script(tmp_path, *argv: str) -> tuple[int, str, str]:
 
 def test_verify_jobs_stops_at_malformed_line(tmp_path):
     # Under --jobs a worker decodes each line, and the parse error comes
-    # back from it to the parent, so the error must survive pickling or
-    # the run never ends.
+    # back from it to the parent as that line's result, so the error must
+    # survive pickling or the run never ends.  The parent raises it in
+    # input order, after printing every report before it, though all
+    # 200 good lines share the malformed line's pool task.
     path = tmp_path / "corpus.g6"
     good = [emit_graph6(generate(FamilySpec("G3", t % 5 + 2))) for t in range(200)]
     path.write_bytes(b"\n".join([*good, b"Bo!"]) + b"\n")
@@ -228,12 +247,15 @@ def test_verify_jobs_stops_at_malformed_line(tmp_path):
         code, out, err = _run_script(tmp_path, "verify", "--file", str(path), "--jobs", jobs,
                                      "--manifest", str(manifest))
         assert code == 2
-        assert json.loads(manifest.read_text())["partial"] is True
-        runs.append((out, err))
+        written = json.loads(manifest.read_text())
+        assert written["partial"] is True
+        runs.append((out, err, written["counts"]))
     error = "error: trailing bytes after adjacency data (byte offset 2)\n"
-    assert runs[0][1] == runs[1][1] == error
-    # The chunk being built when the error came is not reported.
-    assert runs[0][0].startswith(runs[1][0])
+    assert runs[0] == runs[1]
+    out, err, counts = runs[0]
+    assert err == error
+    assert (counts["graphs"], counts["invalid"]) == (200, 0)
+    assert out.count("\n") == 5 * 200
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -275,15 +297,42 @@ def test_verify_skips_disconnected_under_flat_constant(capsys, tmp_path, jobs):
     assert code == 0 and out.count(f"graph={claws.decode()} ") == 5
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_verify_rejects_jobs_out_of_range(capsys, monkeypatch, jobs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(matchbounds.cli, "Pool", no_pool)
+    monkeypatch.setattr(matchbounds.cli, "Pool", _no_pool)
     code, out, err = run(capsys, "verify", "--enumerate", "3", "--jobs", jobs)
     assert code == 2
     assert out == "" and "--jobs" in err
+
+
+def test_verify_sends_the_pool_tasks_of_pool_chunk_items(capsys, monkeypatch):
+    calls = []
+
+    class Recorder:
+        """A serial stand-in for ``Pool`` that records how it is used."""
+
+        def __init__(self, processes):
+            calls.append(("Pool", processes))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def imap(self, fn, items, chunksize=1):
+            calls.append(("imap", chunksize))
+            return map(fn, items)
+
+    serial = run(capsys, "verify", "--enumerate", "5", "--bounds", "all")[:2]
+    monkeypatch.setattr(matchbounds.cli, "Pool", Recorder)
+    assert run(capsys, "verify", "--enumerate", "5", "--bounds", "all", "--jobs", "2")[:2] == serial
+    assert calls == [("Pool", 2), ("imap", matchbounds.cli.POOL_CHUNK)]
+    assert matchbounds.cli.POOL_CHUNK == 256
 
 
 def _count_calls(monkeypatch, fn, *modules):
@@ -649,6 +698,158 @@ def test_negative_lambda_is_refused_as_a_value(capsys):
     code, out, err = run(capsys, "polytope", "shift", "0", "0", "1/2", "--lambda", "-1/3")
     assert (code, out) == (2, "")
     assert "lambda must be >= 0, got -1/3" in err
+
+
+# A grammar of argv for ``main``.  A part of a command line is drawn as
+# its tokens and whether they are well formed.  A well-formed command line
+# may exit only with its command's codes, one with a malformed part only
+# with 2, and one edited after drawing with any of 0, 1 and 2; none may
+# raise.  Every run is cheap: --enumerate at most 6, --random at most 3
+# graphs of at most 30 vertices, family t at most 9, and --jobs 1.
+_MALFORMED_FRACTIONS = ["0.5", "-0.5", "1/0", "-1/0", "1//2", "1/-2", "+1", "1e3", "/3", "3/",
+                        "-x/3", "x", "-", ""]
+_STRAY_TOKENS = ["--bogus", "extra", "1", "-1/3", "--json", "--", "-h"]
+
+
+@st.composite
+def _token(draw, good, bad):
+    """A token from the strategy ``good``, or now and then one of ``bad``."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(bad)), False
+    return draw(good), True
+
+
+_EXACT = st.tuples(st.integers(-4, 4), st.integers(1, 4)).flatmap(
+    lambda pq: st.sampled_from([str(pq[0]), f"{pq[0]}/{pq[1]}"]))
+_FRACTION = _token(_EXACT, _MALFORMED_FRACTIONS)
+
+
+@st.composite
+def _triple(draw):
+    """Three fractions, or too few or too many tokens."""
+    drawn = [draw(_FRACTION) for _ in range(3)]
+    count = draw(st.sampled_from([3, 3, 3, 0, 2, 4]))
+    tokens = ([token for token, _ in drawn] + ["1"])[:count]
+    return tokens, count == 3 and all(ok for _, ok in drawn)
+
+
+@st.composite
+def _command(draw, files):
+    """A command line from the grammar, with the exit codes it may give."""
+    command = draw(st.sampled_from(["polytope", "verify", "family", "counterexample", "ge"]))
+    head, groups, oks, codes = [command], [], [], {0, 1}
+
+    def part(flag, strategy):
+        token, ok = draw(strategy)
+        groups.append([flag, token] if flag else [token])
+        oks.append(ok)
+        return token, ok
+
+    def maybe(*flags):
+        for flag in flags:
+            if draw(st.booleans()):
+                groups.append([flag])
+
+    if command == "polytope":
+        query = draw(st.sampled_from(["vertices", "contains", "project", "shift"]))
+        head.append(query)
+        codes = {"vertices": {0}, "contains": {0, 1}, "project": {0, 2}, "shift": {0}}[query]
+        if query != "vertices":
+            tokens, ok = draw(_triple())
+            groups.append(tokens)
+            oks.append(ok)
+        if query == "shift":
+            if draw(st.integers(0, 5)):
+                lam, ok = part("--lambda", _FRACTION)
+                oks.append(ok and Fraction(lam) >= 0)
+            else:
+                oks.append(False)
+    elif command in ("verify", "ge"):
+        source = draw(st.sampled_from(["--enumerate", "--random", "--file"]))
+        if source == "--enumerate":
+            part(source, _token(st.integers(1, 6).map(str), ["0", "-1", "13", "x"]))
+        elif source == "--file":
+            part(source, _token(st.sampled_from([files["good"], files["invalid"]]),
+                                [files["malformed"], files["missing"]]))
+        else:
+            part(source, _token(st.integers(1, 3).map(str), ["0", "-2", "x"]))
+        for flag, values, bad in (("--size", st.integers(1, 30), ["0", "20001", "x"]),
+                                  ("--seed", st.integers(-5, 5), ["x", "1.5"])):
+            if draw(st.integers(0, 2 if source == "--random" else 9)) == 0:
+                part(flag, _token(values.map(str), bad))
+                oks.append(source == "--random")
+        if draw(st.booleans()):
+            groups.append(["--manifest", files["manifest"]])
+    if command == "verify":
+        if draw(st.booleans()):
+            part("--bounds", _token(st.sampled_from(["all", "b1", "b2,b4", "b5,b1,b3"]),
+                                    ["b9", "b1,x"]))
+        if draw(st.booleans()):
+            part("--jobs", _token(st.just("1"), ["0", "-1", "x"]))
+        maybe("--tight-only", "--skip-invalid")
+    if command in ("verify", "counterexample"):
+        triple = command == "counterexample" or draw(st.booleans())
+        if triple:
+            tokens, ok = draw(_triple())
+            groups.append(["--triple", *tokens])
+            oks.append(ok)
+        elif command == "counterexample":
+            oks.append(False)
+        if draw(st.booleans()):
+            part("--k", _FRACTION)
+            oks.append(triple)
+    if command == "family":
+        codes = {0, 2}  # 2 for a t the family does not admit
+        family, ok = draw(_token(st.sampled_from(FAMILY_IDS), ["G9", "g1"]))
+        groups.append([family, str(draw(st.integers(-1, 9)))])
+        oks.append(ok)
+        maybe("--stats")
+    maybe("--json")
+    argv = head + [token for group in draw(st.permutations(groups)) for token in group]
+    return argv, codes if all(oks) else {2}
+
+
+@st.composite
+def _argv(draw, files):
+    """A command line from the grammar, perhaps with one token dropped,
+    inserted or swapped with the next."""
+    argv, codes = draw(_command(files))
+    if draw(st.integers(0, 3)):
+        return argv, codes
+    edit = draw(st.sampled_from(["drop", "insert", "swap"]))
+    i = draw(st.integers(0, len(argv) - 1))
+    if edit == "drop":
+        del argv[i]
+    elif edit == "insert":
+        argv.insert(i, draw(st.sampled_from(_STRAY_TOKENS)))
+    else:
+        argv[i:i + 2] = reversed(argv[i:i + 2])
+    return argv, {0, 1, 2}
+
+
+@pytest.fixture(scope="module")
+def grammar_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    k5 = emit_graph6(Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]))
+    contents = {"good": TRIANGLE_G6.encode() + b"\n" + emit_graph6(generate(FamilySpec("G3", 2))),
+                "invalid": TRIANGLE_G6.encode() + b"\n" + k5, "malformed": b"Bw\nBo!"}
+    files = {"missing": str(root / "missing.g6"), "manifest": str(root / "manifest.json")}
+    for name, text in contents.items():
+        files[name] = str(root / f"{name}.g6")
+        Path(files[name]).write_bytes(text + b"\n")
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_gets_a_defined_exit_code(grammar_files, data):
+    argv, codes = data.draw(_argv(grammar_files))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(matchbounds.cli, "Pool", _no_pool)
+        code = main(argv)
+    assert code in codes, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_ge_random_corpus(capsys):
