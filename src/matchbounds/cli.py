@@ -282,18 +282,18 @@ def cmd_verify(args) -> int:
         else:
             results = map(check, stream)
         for result in results:
-            if isinstance(result, ValueError):
-                raise result
-            if isinstance(result, str):
+            if isinstance(result, tuple):
+                text, violations, tight = result
+                counts["graphs"] += 1
+                counts["violations"] += violations
+                counts["tight"] += tight
+                if text:
+                    print(text)
+            elif isinstance(result, str):
                 counts["invalid"] += 1
                 print(result, file=sys.stderr)
-                continue
-            text, violations, tight = result
-            counts["graphs"] += 1
-            counts["violations"] += violations
-            counts["tight"] += tight
-            if text:
-                print(text)
+            else:
+                raise result
     if counts["violations"] or (counts["invalid"] and not args.skip_invalid):
         return EXIT_VIOLATIONS
     return EXIT_OK

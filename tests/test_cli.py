@@ -201,18 +201,18 @@ def _start_script(*argv: str, **kwargs) -> subprocess.Popen:
                             start_new_session=True, **kwargs)
 
 
-def _wait(proc: subprocess.Popen, timeout: float = 60, linger: float = 5) -> int:
+def _wait(proc: subprocess.Popen, timeout: float = 60) -> int:
     """Exit code of ``proc``; fails the test, rather than hanging it, if the
     run outlives ``timeout``, or if a process of its group, such as a pool
-    worker, is still there ``linger`` seconds after it ended.  Either way
-    it kills the group."""
+    worker, is still there 5 s after it ended.  Either way it kills the
+    group."""
     try:
         code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         pytest.fail(f"still running after {timeout} s: {proc.args}")
-    deadline = time.monotonic() + linger
+    deadline = time.monotonic() + 5
     while True:
         try:
             os.killpg(proc.pid, 0)
@@ -220,7 +220,7 @@ def _wait(proc: subprocess.Popen, timeout: float = 60, linger: float = 5) -> int
             return code
         if time.monotonic() > deadline:
             os.killpg(proc.pid, signal.SIGKILL)
-            pytest.fail(f"left a process running {linger} s after it exited: {proc.args}")
+            pytest.fail(f"left a process running 5 s after it exited: {proc.args}")
         time.sleep(0.02)
 
 
@@ -761,9 +761,9 @@ def _command(draw, files):
         if query == "shift":
             if draw(st.integers(0, 5)):
                 lam, ok = part("--lambda", _FRACTION)
-                oks.append(ok and Fraction(lam) >= 0)
+                oks.append(not ok or Fraction(lam) >= 0)  # a negative lambda is refused
             else:
-                oks.append(False)
+                oks.append(False)  # --lambda is required
     elif command in ("verify", "ge"):
         source = draw(st.sampled_from(["--enumerate", "--random", "--file"]))
         if source == "--enumerate":
