@@ -258,8 +258,8 @@ def _verify_one(
 # worker-handler thread on every result waiting in the pipe
 # (``Pool._get_sentinels`` includes ``outqueue._reader``), and each wake-up
 # checks every worker's exit code.  On 5 000 graphs of order 13-40 at
-# --jobs 2 (2 vCPUs), 64 items cost the parent 0.12-0.14 s of CPU time
-# and 256 items 0.07 s; 128 and 512 ran slower than 256.
+# --jobs 2 (2 vCPUs), the parent used 0.15 s of CPU time at 64 items and
+# 0.08 s at 256 (medians of 20 runs); 128 and 512 ran slower than 256.
 POOL_CHUNK = 256
 
 
