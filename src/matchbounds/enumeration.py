@@ -112,6 +112,8 @@ class EnumerationConfig:
     max_n: int
 
     def __post_init__(self):
+        if not isinstance(self.max_n, int) or isinstance(self.max_n, bool):
+            raise ValueError(f"max_n must be an int, got {self.max_n!r}")
         if self.max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {self.max_n}")
         if self.max_n > _HARD_MAX_N:

@@ -46,11 +46,8 @@ _FAMILIES = {
 FAMILY_IDS = tuple(_FAMILIES)
 
 # The closed forms describe a member at any t, but ``generate`` refuses to
-# build one with more than MAX_GENERATED_ORDER vertices.  Up to
-# MAX_CERTIFIED_ORDER vertices, a member's nu is also computed by the
-# matcher and checked against the closed form.
+# build one with more than MAX_GENERATED_ORDER vertices.
 MAX_GENERATED_ORDER = 2_000_000
-MAX_CERTIFIED_ORDER = 60
 
 
 class InvalidParameterError(ValueError):
@@ -68,7 +65,7 @@ class FamilySpec:
         fid, t = self.family_id, self.t
         if fid not in FAMILY_IDS:
             raise InvalidParameterError(f"unknown family {fid!r}")
-        if not isinstance(t, int):
+        if not isinstance(t, int) or isinstance(t, bool):
             raise InvalidParameterError(f"{fid} requires integer t, got {t!r}")
         start, step = _FAMILIES[fid].start, _FAMILIES[fid].step
         if t < start or (t - start) % step:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import dropwhile, islice
+from itertools import combinations, dropwhile, islice
 
 import pytest
 
@@ -37,6 +37,10 @@ from matchbounds.graphs import Graph, degree_profile
 from matchbounds.matching import brute_force_nu, max_matching
 from matchbounds.polytope import (
     CoefficientTriple,
+    HalfSpace,
+    _cross,
+    _dot,
+    _solve3,
     contains,
     polyhedron_P,
     polyhedron_P_plus,
@@ -316,6 +320,60 @@ def test_sharp_constants_on_the_sweep(sweep_corpus_by_n, profile_rows):
     points = _extreme_point_specs(0)
     assert {spec.triple: k for spec, (k, _) in zip(points, least_constants(points))} \
         == EXTREME_POINT_CONSTANTS_N12
+
+
+def _pieces_of_P() -> list[tuple[set[CoefficientTriple], set[tuple[Fraction, ...]]]]:
+    """P cut at x3 = 0: for x3 >= 0, then for x3 <= 0, the piece's vertices
+    and extreme rays, in exact arithmetic.  A vertex makes three
+    constraints tight.  Each piece's recession cone {d : a.d <= 0 for every
+    normal a} is pointed, so its extreme rays are the feasible directions
+    along two independent normals; each is scaled to largest entry 1."""
+    pieces = []
+    for sign, label in ((-1, "x3>=0"), (1, "x3<=0")):
+        hs = polyhedron_P().halfspaces + (HalfSpace(sign, 0, 0, 0, label),)
+        points = set()
+        for rows in combinations(hs, 3):
+            x = _solve3(rows)
+            if x is not None and all(h.holds(x) for h in hs):
+                points.add(x)
+        rays = set()
+        for h1, h2 in combinations(hs, 2):
+            d = _cross(h1.normal(), h2.normal())
+            for r in (d, tuple(-c for c in d)):
+                if any(r) and all(_dot(h.normal(), r) <= 0 for h in hs):
+                    top = max(abs(c) for c in r)
+                    rays.add(tuple(c / top for c in r))
+        pieces.append((points, rays))
+    return pieces
+
+
+def _along(v: CoefficientTriple, r, t) -> CoefficientTriple:
+    """The triple v + t*r."""
+    return CoefficientTriple(*(a + t * c for a, c in zip(v.as_tuple(), r)))
+
+
+def test_valid_constant_holds_on_all_of_P(profile_rows):
+    # On each piece, valid_constant is affine in x, and the K the sweep
+    # needs, max over its profiles of x3*n3 + x2*n2 + x1*n1 - nu, is convex.
+    # A piece is its vertices' hull plus its extreme rays' cone
+    # (Minkowski-Weyl), so K suffices on every triple of it iff it does at
+    # each vertex, and along each ray no profile's sum grows faster than K.
+    rows = [((n3, n2, n1), least) for (n1, n2, n3, _), (least, _) in profile_rows.items()]
+    (upper, upper_rays), (lower, lower_rays) = _pieces_of_P()
+    assert (len(upper), len(upper_rays), len(lower), len(lower_rays)) == (5, 2, 2, 3)
+    assert lower_rays == upper_rays | {(F(-1), F(0), F(1))}
+    vertex_gaps, ray_gaps = [], []
+    for points, rays in ((upper, upper_rays), (lower, lower_rays)):
+        for v in points:
+            k = valid_constant(v)
+            vertex_gaps.append(max(_dot(v.as_tuple(), p) - least for p, least in rows) - k)
+            for r in rays:
+                k1, k2 = (valid_constant(_along(v, r, t)) for t in (1, 2))
+                assert k2 - k1 == k1 - k, (v, r)  # affine along the ray
+                ray_gaps.append(max(_dot(r, p) for p, _ in rows) - (k1 - k))
+    # Sharp at a vertex, (0, 1/3, 2/3) on the claw, and along the ray
+    # (-1, 0, 1), where n1 - n3 <= 2 is what 2|x3| pays for.
+    assert max(vertex_gaps) == 0 and max(ray_gaps) == 0
 
 
 def test_criterion_09_matcher_oracle_agreement(corpus_by_n):

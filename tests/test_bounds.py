@@ -209,11 +209,14 @@ def test_counterexample_scales_with_large_constant():
 
 
 def test_counterexample_nu_certificate_raises(monkeypatch):
+    # The matcher checks the closed-form nu of every member returned,
+    # however large: G3(2) has 6 vertices, G2(7) 2 302.
     import matchbounds.bounds as bounds
 
     monkeypatch.setattr(bounds, "nu", lambda g: nu(g) + 1)
-    with pytest.raises(RuntimeError, match="disagrees with matcher"):
-        counterexample(triple("1/3", "4/9", "1/3"), F(0))
+    for tr, k in ((triple("1/3", "4/9", "1/3"), F(0)), (triple("1/2", 0, 0), F(100))):
+        with pytest.raises(RuntimeError, match="disagrees with matcher"):
+            counterexample(tr, k)
 
 
 def test_counterexample_slack_certificate_raises(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -301,9 +302,23 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a pool was started")
 
 
+def test_serial_runs_never_import_multiprocessing():
+    # cmd_verify imports the pool module only when --jobs asks for a pool.
+    probe = ("import sys\n"
+             "import matchbounds.cli\n"
+             "loaded = ['multiprocessing' in sys.modules]\n"
+             "code = matchbounds.cli.main(['verify', '--enumerate', '4', '--jobs', '1'])\n"
+             "loaded.append('multiprocessing' in sys.modules)\n"
+             "print(code, *loaded)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=_SCRIPT_ENV, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_verify_rejects_jobs_out_of_range(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(matchbounds.cli, "Pool", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     code, out, err = run(capsys, "verify", "--enumerate", "3", "--jobs", jobs)
     assert code == 2
     assert out == "" and "--jobs" in err
@@ -329,7 +344,7 @@ def test_verify_sends_the_pool_tasks_of_pool_chunk_items(capsys, monkeypatch):
             return map(fn, items)
 
     serial = run(capsys, "verify", "--enumerate", "5", "--bounds", "all")[:2]
-    monkeypatch.setattr(matchbounds.cli, "Pool", Recorder)
+    monkeypatch.setattr(multiprocessing, "Pool", Recorder)
     assert run(capsys, "verify", "--enumerate", "5", "--bounds", "all", "--jobs", "2")[:2] == serial
     assert calls == [("Pool", 2), ("imap", matchbounds.cli.POOL_CHUNK)]
     assert matchbounds.cli.POOL_CHUNK == 256
@@ -566,10 +581,15 @@ def test_counterexample_refuses_members_too_large_to_build(capsys, triple, k, me
     assert "too large to build" in err
 
 
-def test_family_stats_extrapolated(capsys):
+def test_family_stats_certifies_large_members(capsys):
+    # G3(33) has 99 vertices: the matcher computes nu at every size.
     code, out, _ = run(capsys, "family", "G3", "33", "--stats")
     assert code == 0
-    assert "nu_certified=- (extrapolated)" in out
+    assert out.endswith(" nu_closed=33 nu_certified=33 (certified)\n")
+    code, out, _ = run(capsys, "family", "G3", "33", "--stats", "--json")
+    assert code == 0
+    stats = json.loads(out)
+    assert (stats["n"], stats["nu_certified"], stats["nu_status"]) == (99, 33, "certified")
 
 
 def test_counterexample_command(capsys):
@@ -846,7 +866,7 @@ def test_every_argv_gets_a_defined_exit_code(grammar_files, data):
     argv, codes = data.draw(_argv(grammar_files))
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
-        patch.setattr(matchbounds.cli, "Pool", _no_pool)
+        patch.setattr(multiprocessing, "Pool", _no_pool)
         code = main(argv)
     assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()

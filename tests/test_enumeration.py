@@ -638,6 +638,9 @@ def test_hard_cap():
         EnumerationConfig(max_n=13)
     with pytest.raises(ValueError):
         EnumerationConfig(max_n=0)
+    for bad in (2.5, 3.0, "5", True):
+        with pytest.raises(ValueError, match=r"^max_n must be an int, got "):
+            EnumerationConfig(max_n=bad)
 
 
 def test_canonical_key_is_complete_on_corpus(corpus_by_n):

@@ -106,6 +106,7 @@ def test_parameter_gates():
         ("G7", 1): "unknown family 'G7'",
         ("G3", 3.0): "G3 requires integer t, got 3.0",
         ("G6", "5"): "G6 requires integer t, got '5'",
+        ("G1", True): "G1 requires integer t, got True",
     }.items():
         with pytest.raises(InvalidParameterError) as excinfo:
             FamilySpec(fid, bad_t)
