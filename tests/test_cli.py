@@ -138,6 +138,47 @@ def test_output_is_pinned(capsys, argv, exit_code, lines, digest):
         assert " slack=-" in out
 
 
+# sha256 of stdout, with the exit code, of each one-result command in text
+# and under --json: the four polytope queries (contains inside and
+# outside), family with and without --stats, and a violated counterexample.
+_COMMAND_PINS = [
+    (["polytope", "vertices"], 0,
+     "bd755e032578fa8d5f3b3b4c09a73b4b5347b95b997c3c250cc18c55d0240943",
+     "fc22517a7d477a5738ba7b250dd4d6c253392828ea77f0cd736d5713058a5160"),
+    (["polytope", "contains", "4/9", "1/3", "2/9"], 0,
+     "899c7dfd31bcdd93a7e85882089c9e1278d94a26a9ef8250fd30bfc17b6445a0",
+     "74642b3ff2c7757b5d7c211c1203b6ec96b7e7b157e7cecd9bc56446450cfcd5"),
+    (["polytope", "contains", "1/3", "4/9", "1/3"], 1,
+     "8f4ffb56087a20347c1db413e215e2e14a0e53f5459d3a2381cc429eecfb5823",
+     "265e3768f39aac44687e29cee96643fa9404a505efafd625cfd8f07571628c7c"),
+    (["polytope", "project", "-1/3", "0", "1/2"], 0,
+     "86d907fe580a5c7fe03b6081514844266a8fc2e4bde69ec42501697467279225",
+     "57f4267c6d98a736517722cbed1c5a7a9c605e23aab68bbfd477095ac0339bdb"),
+    (["polytope", "shift", "-1/3", "0", "1/2", "--lambda", "1/3"], 0,
+     "731a80153e49de65d35eb424a35952b124a7c035cff5922b34bed2855f8f50be",
+     "74b79a7b32310801b4caa429c8163f789958d657f16529df8532b618d99261f9"),
+    (["family", "G2", "3", "--stats"], 0,
+     "a53d30e3a6a6b7b42f55ea6fe0eb1bcd1180d29780ee3b0ae06494074427178b",
+     "0800b60b92ca37164ec15ea9616cb66f041fdc4bb63995fd1251d03f95b94864"),
+    (["family", "G5", "8"], 0,
+     "3f124513d605125235362b2e7b553d7aeade4fe6f8bed1e28e761e395ed7a6cb",
+     "3f124513d605125235362b2e7b553d7aeade4fe6f8bed1e28e761e395ed7a6cb"),
+    (["counterexample", "--triple", "1/2", "0", "0", "--k", "1"], 1,
+     "a66162b8af4cfe207b42d5bdb3ff5f7652de38759b1cffa9fa2d0491350c99f2",
+     "00e081fc309ecdd4b3da556b87d72c1c956029e3d790e1dccc9229041c6b065c"),
+]
+_COMMAND_RUNS = [(argv + flag, code, digest) for argv, code, *digests in _COMMAND_PINS
+                 for flag, digest in zip(([], ["--json"]), digests)]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", _COMMAND_RUNS,
+                         ids=[" ".join(argv) for argv, *_ in _COMMAND_RUNS])
+def test_command_output_is_pinned(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_skip_invalid(capsys, tmp_path):
     k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     path = tmp_path / "mixed.g6"
