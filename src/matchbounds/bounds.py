@@ -26,7 +26,8 @@ from .polytope import CoefficientTriple, NotInPError, contains, polyhedron_P
 
 
 class TripleInPError(ValueError):
-    """No counterexample exists: the triple satisfies every constraint."""
+    """The triple satisfies every constraint, so no family member violates
+    it; no graph does when K is at least ``valid_constant(triple)``."""
 
 
 class NotConnectedError(ValueError):
@@ -175,31 +176,42 @@ def closed_form_slack(spec: FamilySpec, triple: CoefficientTriple, k: Fraction) 
     return closed_nu(spec) - rhs
 
 
-def counterexample(
-    triple: CoefficientTriple, k: Fraction
-) -> tuple[FamilySpec, Graph, BoundReport]:
-    """A connected subcubic graph on which nu falls strictly below
-    x3*n3 + x2*n2 + x1*n1 - k.
-
-    Picks the violated constraint with the largest margin (ties broken by
-    canonical constraint order), maps it to its witness family, and
-    returns the family's first member with negative closed-form slack,
-    once the matcher has confirmed its closed-form nu.
-    """
-    k = Fraction(k)
+def _violated_member(triple: CoefficientTriple, k: Fraction) -> FamilySpec:
+    """The first member with negative closed-form slack of the family that
+    witnesses the constraint ``triple`` violates most (ties broken by
+    canonical constraint order)."""
     p = polyhedron_P()
     verdict = contains(p, triple)
     if verdict.inside:
         raise TripleInPError(f"{triple} satisfies all six constraints")
     best = max(verdict.violated, key=lambda i: (p.halfspaces[i].margin(triple), -i))
-    spec = first_member(family_for_halfspace(best + 1),
+    return first_member(family_for_halfspace(best + 1),
                         lambda member: closed_form_slack(member, triple, k) < 0)
-    g = generate(spec)
-    lhs = closed_nu(spec)
-    if nu(g) != lhs:
-        raise RuntimeError("closed-form matching number disagrees with matcher")
-    slack = closed_form_slack(spec, triple, k)
-    if slack >= 0:
-        raise RuntimeError(f"certificate {spec} has slack {slack}, not negative")
-    return spec, g, BoundReport(lhs=lhs, rhs=lhs - slack, slack=slack, tight=False)
 
+
+def _certified(spec: FamilySpec, triple: CoefficientTriple,
+               k: Fraction) -> tuple[Graph, BoundReport]:
+    """The member built, and the flat bound evaluated on it, which must give
+    the closed-form nu and slack, and a negative slack."""
+    g = generate(spec)
+    rep = evaluate_bound(g, BoundSpec(triple, k, per_component=False))
+    if rep.lhs != closed_nu(spec):
+        raise RuntimeError("closed-form matching number disagrees with matcher")
+    closed = closed_form_slack(spec, triple, k)
+    if rep.slack != closed:
+        raise RuntimeError(f"closed-form slack {closed} disagrees with {rep.slack} on {spec}")
+    if rep.slack >= 0:
+        raise RuntimeError(f"certificate {spec} has slack {rep.slack}, not negative")
+    return g, rep
+
+
+def counterexample(
+    triple: CoefficientTriple, k: Fraction
+) -> tuple[FamilySpec, Graph, BoundReport]:
+    """A connected subcubic graph on which nu falls strictly below
+    x3*n3 + x2*n2 + x1*n1 - k: a family member found by closed forms
+    (``_violated_member``) and certified on the built graph (``_certified``).
+    """
+    k = Fraction(k)
+    spec = _violated_member(triple, k)
+    return (spec, *_certified(spec, triple, k))

@@ -27,19 +27,21 @@ from .bounds import (
     NotConnectedError,
     ScaledBounds,
     TripleInPError,
+    _certified,
+    _violated_member,
     bound_by_name,
-    valid_constant,
-    counterexample,
     evaluate_scaled,
     scale_bounds,
     sharp_bounds,
+    valid_constant,
 )
 from .enumeration import _HARD_MAX_N, EnumerationConfig, enumerate_subcubic, random_subcubic
-from .families import FAMILY_IDS, FamilySpec, closed_nu, generate
+from .families import FAMILY_IDS, FamilySpec, buildable_order, closed_nu, generate
 from .graphs import (
     MAX_GRAPH6_ORDER,
     Graph,
     NotSubcubicError,
+    check_graph6_order,
     degree_profile,
     emit_graph6,
     iter_graph6_lines,
@@ -300,14 +302,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _pairs(record: dict) -> str:
+    """The record's ``key=value`` pairs, with booleans as yes and no."""
+    return " ".join(f"{key}={('yes' if value else 'no') if isinstance(value, bool) else value}"
+                    for key, value in record.items())
+
+
+def _show(args, record: dict, text: str | None = None) -> None:
+    """Print one result: ``record`` as one JSON object under ``--json``,
+    otherwise ``text``, by default ``_pairs(record)``."""
+    print(json.dumps(record) if args.json else _pairs(record) if text is None else text)
+
+
 def cmd_polytope(args) -> int:
     if args.subcommand == "vertices":
-        vs = sorted(vertices(polyhedron_P_plus()), key=lambda v: v.as_tuple())
-        if args.json:
-            print(json.dumps({"vertices": [str(v) for v in vs]}))
-        else:
-            for v in vs:
-                print(v)
+        vs = [str(v) for v in sorted(vertices(polyhedron_P_plus()), key=lambda v: v.as_tuple())]
+        _show(args, {"vertices": vs}, "\n".join(vs))
         return EXIT_OK
     x = _triple_type(args.triple)
     p = polyhedron_P()
@@ -315,56 +325,37 @@ def cmd_polytope(args) -> int:
         verdict = contains(p, x)
         if verdict.inside:
             const = valid_constant(x)
-            if args.json:
-                print(json.dumps({"triple": str(x), "inside": True, "constant": str(const)}))
-            else:
-                print(f"inside (valid constant K={const})")
+            _show(args, {"triple": str(x), "inside": True, "constant": str(const)},
+                  f"inside (valid constant K={const})")
             return EXIT_OK
         labels = [p.halfspaces[i].label for i in verdict.violated]
-        if args.json:
-            print(json.dumps({"triple": str(x), "inside": False, "violated": labels}))
-        else:
-            print("violated: " + ", ".join(labels))
+        _show(args, {"triple": str(x), "inside": False, "violated": labels},
+              "violated: " + ", ".join(labels))
         return EXIT_VIOLATIONS
     if args.subcommand == "project":
         y = project_to_Pplus(x)
-        if args.json:
-            print(json.dumps({"triple": str(x), "projected": str(y)}))
-        else:
-            print(y)
+        _show(args, {"triple": str(x), "projected": str(y)}, str(y))
         return EXIT_OK
     # shift
     y = shift_transform(x, args.lam)
     inside = contains(p, y).inside
-    if args.json:
-        print(json.dumps({"shifted": str(y), "in_P": inside}))
-    else:
-        print(f"{y} in P: {'yes' if inside else 'no'}")
+    _show(args, {"shifted": str(y), "in_P": inside}, f"{y} in P: {'yes' if inside else 'no'}")
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
     spec = FamilySpec(args.family, args.t)
-    g = generate(spec)
     if args.stats:
+        g = generate(spec)
         prof = degree_profile(g)
-        certified = nu(g)
-        if args.json:
-            print(json.dumps({
-                "family": spec.family_id, "t": spec.t, "n": g.n,
-                "n1": prof.n1, "n2": prof.n2, "n3": prof.n3,
-                "nu_closed": closed_nu(spec),
-                "nu_certified": certified,
-                "nu_status": "certified",
-            }))
-        else:
-            print(
-                f"family={spec.family_id} t={spec.t} n={g.n} "
-                f"n1={prof.n1} n2={prof.n2} n3={prof.n3} "
-                f"nu_closed={closed_nu(spec)} nu_certified={certified} (certified)"
-            )
-    else:
-        sys.stdout.write(emit_graph6(g).decode("ascii") + "\n")
+        stats = {"family": spec.family_id, "t": spec.t, "n": g.n,
+                 "n1": prof.n1, "n2": prof.n2, "n3": prof.n3,
+                 "nu_closed": closed_nu(spec), "nu_certified": nu(g)}
+        _show(args, {**stats, "nu_status": "certified"}, _pairs(stats) + " (certified)")
+        return EXIT_OK
+    check_graph6_order(buildable_order(spec))
+    g6 = emit_graph6(generate(spec)).decode("ascii")
+    _show(args, {"family": spec.family_id, "t": spec.t, "graph": g6}, g6)
     return EXIT_OK
 
 
@@ -372,24 +363,22 @@ def cmd_counterexample(args) -> int:
     x = _triple_type(args.triple)
     k = args.k if args.k is not None else Fraction(0)
     try:
-        spec, g, rep = counterexample(x, k)
+        spec = _violated_member(x, k)
     except TripleInPError:
-        if args.json:
-            print(json.dumps({"triple": str(x), "inside": True}))
-        else:
-            print("triple is inside the polyhedron; no counterexample exists")
+        const = valid_constant(x)
+        if k < const:
+            raise ValueError(f"{x} is inside the polyhedron; no counterexample exists "
+                             f"for K >= {const}, its valid constant, got K={k}") from None
+        _show(args, {"triple": str(x), "inside": True},
+              "triple is inside the polyhedron; no counterexample exists")
         return EXIT_OK
+    check_graph6_order(buildable_order(spec))
+    g, rep = _certified(spec, x, k)
     g6 = emit_graph6(g).decode("ascii")
-    if args.json:
-        print(json.dumps({
-            "family": spec.family_id, "t": spec.t, "graph": g6,
-            "nu": rep.lhs, "rhs": str(rep.rhs), "slack": str(rep.slack),
-        }))
-    else:
-        print(
-            f"family={spec.family_id} t={spec.t} n={g.n} graph6={g6} "
-            f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} (~{_approx(float(rep.slack))})"
-        )
+    _show(args, {"family": spec.family_id, "t": spec.t, "graph": g6,
+                 "nu": rep.lhs, "rhs": str(rep.rhs), "slack": str(rep.slack)},
+          f"family={spec.family_id} t={spec.t} n={g.n} graph6={g6} "
+          f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} (~{_approx(float(rep.slack))})")
     return EXIT_VIOLATIONS
 
 
@@ -402,22 +391,11 @@ def cmd_ge(args) -> int:
             counts["graphs"] += 1
             if not rep.all_true():
                 counts["violations"] += 1
-            g6 = _graph6_text(g, line)
-            if args.json:
-                print(json.dumps({
-                    "graph": g6,
-                    "A": len(d.A), "B": len(d.B), "C": len(d.C),
-                    "hypomatchable": rep.a_components_hypomatchable,
-                    "perfect": rep.c_components_perfectly_matched,
-                    "surplus": rep.b_neighborhood_surplus,
-                }))
-            else:
-                print(
-                    f"graph={g6} A={len(d.A)} B={len(d.B)} C={len(d.C)} "
-                    f"hypomatchable={'yes' if rep.a_components_hypomatchable else 'no'} "
-                    f"perfect={'yes' if rep.c_components_perfectly_matched else 'no'} "
-                    f"surplus={'yes' if rep.b_neighborhood_surplus else 'no'}"
-                )
+            _show(args, {"graph": _graph6_text(g, line),
+                         "A": len(d.A), "B": len(d.B), "C": len(d.C),
+                         "hypomatchable": rep.a_components_hypomatchable,
+                         "perfect": rep.c_components_perfectly_matched,
+                         "surplus": rep.b_neighborhood_surplus})
     return EXIT_VIOLATIONS if counts["violations"] else EXIT_OK
 
 

@@ -112,20 +112,22 @@ def _pendant_cycle_edges(t: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _check_buildable(spec: FamilySpec) -> None:
-    """Refuse a member with more than ``MAX_GENERATED_ORDER`` vertices."""
+def buildable_order(spec: FamilySpec) -> int:
+    """The member's order by closed form; a member with more than
+    ``MAX_GENERATED_ORDER`` vertices is refused."""
     # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
     # spares a huge t the evaluation of 2**t.
     if ((spec.family_id in ("G1", "G2") and spec.t > 64)
-            or closed_profile(spec).order > MAX_GENERATED_ORDER):
+            or (order := closed_profile(spec).order) > MAX_GENERATED_ORDER):
         raise InvalidParameterError(f"{spec.family_id}(t={spec.t}) has more than "
                                     f"{MAX_GENERATED_ORDER} vertices; too large to build")
+    return order
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the family member as a concrete graph; one with more than
     ``MAX_GENERATED_ORDER`` vertices is refused before anything is built."""
-    _check_buildable(spec)
+    buildable_order(spec)
     t = spec.t
     fid = spec.family_id
     if fid == "G1":
@@ -194,7 +196,7 @@ def first_member(family_id: str, holds: Callable[[FamilySpec], bool]) -> FamilyS
 
     hi = 0
     while not holds(member(hi)):
-        _check_buildable(member(hi))
+        buildable_order(member(hi))
         hi = max(2 * hi, 1)
     lo = hi // 2  # the probe before hi, where holds was false; hi itself if hi is 0
     while hi - lo > 1:

@@ -254,12 +254,17 @@ def _check_bytes(data: bytes, start: int, end: int) -> None:
         raise MalformedGraph6Error(f"invalid graph6 byte {data[bad.start()]}", bad.start())
 
 
+def check_graph6_order(n: int) -> None:
+    """Refuse an order above ``MAX_GRAPH6_ORDER`` with ``ValueError``."""
+    if n > MAX_GRAPH6_ORDER:
+        raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
+
+
 def _size_prefix(n: int) -> bytes:
     """The shortest size prefix N(n): one byte up to n = 62, else "~" and
     3 sextets; the one ``emit_graph6`` writes.  Refuses n above
-    ``MAX_GRAPH6_ORDER`` with ``ValueError``."""
-    if n > MAX_GRAPH6_ORDER:
-        raise ValueError(f"graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})")
+    ``MAX_GRAPH6_ORDER`` (``check_graph6_order``)."""
+    check_graph6_order(n)
     return bytes([n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]).translate(_ADD_63)
 
 

@@ -4,6 +4,7 @@ counterexamples."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,18 @@ def test_counterexample_nu_certificate_raises(monkeypatch):
     for tr, k in ((triple("1/3", "4/9", "1/3"), F(0)), (triple("1/2", 0, 0), F(100))):
         with pytest.raises(RuntimeError, match="disagrees with matcher"):
             counterexample(tr, k)
+
+
+def test_counterexample_profile_certificate_raises(monkeypatch):
+    # The rhs and slack come from the built graph's degrees: a wrong
+    # closed form for G3's degree counts (n1 = t + 1, n2 = t - 1) makes
+    # the closed-form slack of G3(2) -1/9 where the graph gives -2/9.
+    import matchbounds.families as families
+
+    wrong = replace(families._FAMILIES["G3"], counts=lambda t: (t + 1, t - 1, t))
+    monkeypatch.setitem(families._FAMILIES, "G3", wrong)
+    with pytest.raises(RuntimeError, match="closed-form slack -1/9 disagrees with -2/9"):
+        counterexample(triple("1/3", "4/9", "1/3"), F(0))
 
 
 def test_counterexample_slack_certificate_raises(monkeypatch):

@@ -22,10 +22,12 @@ from hypothesis import strategies as st
 import matchbounds.bounds
 import matchbounds.cli
 import matchbounds.structure
+from matchbounds.bounds import valid_constant
 from matchbounds.cli import main
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FAMILY_IDS, FamilySpec, generate
 from matchbounds.graphs import MAX_GRAPH6_ORDER, Graph, emit_graph6
+from matchbounds.polytope import CoefficientTriple, contains, polyhedron_P
 
 TRIANGLE_G6 = "Bw"
 
@@ -162,7 +164,7 @@ _COMMAND_PINS = [
      "0800b60b92ca37164ec15ea9616cb66f041fdc4bb63995fd1251d03f95b94864"),
     (["family", "G5", "8"], 0,
      "3f124513d605125235362b2e7b553d7aeade4fe6f8bed1e28e761e395ed7a6cb",
-     "3f124513d605125235362b2e7b553d7aeade4fe6f8bed1e28e761e395ed7a6cb"),
+     "9737c54c3a35c89db640521a2d49c2595c67927aef312953ca719babe4a8c275"),
     (["counterexample", "--triple", "1/2", "0", "0", "--k", "1"], 1,
      "a66162b8af4cfe207b42d5bdb3ff5f7652de38759b1cffa9fa2d0491350c99f2",
      "00e081fc309ecdd4b3da556b87d72c1c956029e3d790e1dccc9229041c6b065c"),
@@ -593,13 +595,25 @@ def test_family_invalid_parameter(capsys):
     assert "even" in err
 
 
-@pytest.mark.parametrize("argv", [["family", "G3", "6667"],
-                                  ["counterexample", "--triple", "0", "1/2", "51/100", "--k", "1000"]])
-def test_graph6_output_is_capped(capsys, argv):
-    # G3(6667) has 20 001 vertices; the counterexample is G3(100001).
+# The orders of the members these runs ask for, all above the graph6 cap.
+_UNPRINTABLE = {"family G3 6667": 20_001,
+                "counterexample --triple 0 1/2 51/100 --k 1000": 300_003,  # G3(100001)
+                "family G1 17": 786_430}
+
+
+@pytest.mark.parametrize("argv", [command.split() for command in _UNPRINTABLE])
+def test_graph6_output_is_capped(capsys, monkeypatch, argv):
+    # A member above the cap is refused by its closed-form order, before
+    # it is built.
+    def refused(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(matchbounds.cli, "generate", refused)
+    monkeypatch.setattr(matchbounds.bounds, "generate", refused)
     code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == "" and "graph too large for graph6" in err
+    assert code == 2 and out == ""
+    n = _UNPRINTABLE[" ".join(argv)]
+    assert err == f"error: graph too large for graph6: n={n} (at most {MAX_GRAPH6_ORDER})\n"
 
 
 @pytest.mark.parametrize("family, t", [("G1", "25"), ("G1", "1000000001"), ("G3", "1000000")])
@@ -639,9 +653,14 @@ def test_counterexample_command(capsys):
     assert code == 1
     assert "family=G3 t=2" in out
     assert "slack=-2/9" in out and "(~-0.222222)" in out
-    code, out, _ = run(capsys, "counterexample", "--triple", "4/9", "1/3", "2/9")
+    # Inside P, no counterexample exists only from the valid constant on.
+    code, out, err = run(capsys, "counterexample", "--triple", "4/9", "1/3", "2/9")
+    assert (code, out) == (2, "")
+    assert err == ("error: 4/9,1/3,2/9 is inside the polyhedron; no counterexample exists "
+                   "for K >= 1, its valid constant, got K=0\n")
+    code, out, _ = run(capsys, "counterexample", "--triple", "4/9", "1/3", "2/9", "--k", "1")
     assert code == 0
-    assert "no counterexample" in out
+    assert out == "triple is inside the polyhedron; no counterexample exists\n"
 
 
 def test_ge_reports(capsys):
@@ -738,8 +757,7 @@ _NEGATIVE_FRACTIONS = [
     (["polytope", "contains", "-1/3", "0", "1/2"], 0, "inside (valid constant K=5/3)"),
     (["polytope", "project", "-1/3", "0", "1/2"], 0, "0,0,1/6"),
     (["polytope", "shift", "-1/3", "0", "1/2", "--lambda", "1/3"], 0, "-2/3,0,5/6 in P: yes"),
-    (["counterexample", "--triple", "-1/3", "0", "1"], 0,
-     "triple is inside the polyhedron; no counterexample exists"),
+    (["counterexample", "--triple", "-1/3", "0", "1"], 2, ""),  # K = 0 is below 5/3
     (["counterexample", "--triple", "1/2", "1/2", "1", "--k", "-1/3"], 1,
      "family=G3 t=2 n=6 graph6=El__ nu=2 rhs=13/3 slack=-7/3 (~-2.333333)"),
     (["verify", "--enumerate", "2", "--triple", "-1/3", "0", "1", "--k", "-2/3"], 1,
@@ -765,7 +783,7 @@ def test_negative_lambda_is_refused_as_a_value(capsys):
 # its tokens and whether they are well formed.  A well-formed command line
 # may exit only with its command's codes, one with a malformed part only
 # with 2, and one edited after drawing with any of 0, 1 and 2; none may
-# raise.  Every run is cheap: --enumerate at most 6, --random at most 3
+# raise.  Under --json every line a result prints is one JSON object.  Every run is cheap: --enumerate at most 6, --random at most 3
 # graphs of at most 30 vertices, family t at most 9, and --jobs 1.
 _MALFORMED_FRACTIONS = ["0.5", "-0.5", "1/0", "-1/0", "1//2", "1/-2", "+1", "1e3", "/3", "3/",
                         "-x/3", "x", "-", ""]
@@ -856,9 +874,14 @@ def _command(draw, files):
             oks.append(ok)
         elif command == "counterexample":
             oks.append(False)
+        k = "0"
         if draw(st.booleans()):
-            part("--k", _FRACTION)
+            k, _ = part("--k", _FRACTION)
             oks.append(triple)
+        if command == "counterexample" and all(oks):
+            x = CoefficientTriple(*map(Fraction, tokens))
+            if contains(polyhedron_P(), x).inside and Fraction(k) < valid_constant(x):
+                codes = {2}  # below the valid constant no counterexample is ruled out
     if command == "family":
         codes = {0, 2}  # 2 for a t the family does not admit
         family, ok = draw(_token(st.sampled_from(FAMILY_IDS), ["G9", "g1"]))
@@ -911,6 +934,9 @@ def test_every_argv_gets_a_defined_exit_code(grammar_files, data):
         code = main(argv)
     assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if "--json" in argv and "-h" not in argv and code in (0, 1):  # -h prints help
+        for line in out.getvalue().splitlines():
+            assert isinstance(json.loads(line), dict), line
 
 
 def test_ge_random_corpus(capsys):

@@ -52,6 +52,21 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_cli_reads_json_flag_in_one_place():
+    # ``_show`` prints every result but verify's per-bound reports, so no
+    # other function decides between text and JSON.
+    path = PACKAGE / "cli.py"
+    readers = {
+        function.name
+        for function in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "json"
+        and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    assert readers == {"_show", "cmd_verify"}
+
+
 def test_package_imports_only_the_standard_library():
     # The runtime depends on nothing outside the standard library.
     found = []
