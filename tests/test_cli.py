@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -563,6 +564,47 @@ def test_manifest_file(capsys, tmp_path):
     manifest = json.loads(path.read_text())
     assert manifest["command"] == "verify"
     assert manifest["corpus"] == "enumerate<=4"
+
+
+# The manifest each sweep writes to stderr, after any skipped line, with
+# its wall time masked as T: the random corpus with the --size and --seed
+# defaults and with both given, a --file line skipped as invalid, and ge.
+_MANIFEST_PINS = [
+    (["verify", "--random", "2"],
+     '{"command": "verify", "config": {"bounds": ["b1", "b2", "b3", "b4", "b5"], '
+     '"tight_only": false, "skip_invalid": false, "jobs": 1}, '
+     '"corpus": "random x2 n=16 seed=0", '
+     '"counts": {"graphs": 2, "violations": 0, "tight": 0, "invalid": 0}, '
+     '"wall_time_s": T, "partial": false}\n'),
+    (["verify", "--random", "2", "--size", "9", "--seed", "4", "--bounds", "b1,b4",
+      "--tight-only"],
+     '{"command": "verify", "config": {"bounds": ["b1", "b4"], '
+     '"tight_only": true, "skip_invalid": false, "jobs": 1}, '
+     '"corpus": "random x2 n=9 seed=4", '
+     '"counts": {"graphs": 2, "violations": 0, "tight": 0, "invalid": 0}, '
+     '"wall_time_s": T, "partial": false}\n'),
+    (["verify", "--file", "PATH", "--skip-invalid"],
+     'skipped D~{: vertex 0 has degree 4 > 3\n'
+     '{"command": "verify", "config": {"bounds": ["b1", "b2", "b3", "b4", "b5"], '
+     '"tight_only": false, "skip_invalid": true, "jobs": 1}, '
+     '"corpus": "PATH", '
+     '"counts": {"graphs": 1, "violations": 0, "tight": 3, "invalid": 1}, '
+     '"wall_time_s": T, "partial": false}\n'),
+    (["ge", "--enumerate", "4"],
+     '{"command": "ge", "config": {}, "corpus": "enumerate<=4", '
+     '"counts": {"graphs": 10, "violations": 0}, "wall_time_s": T, "partial": false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _MANIFEST_PINS,
+                         ids=[" ".join(argv) for argv, _ in _MANIFEST_PINS])
+def test_manifest_is_pinned(capsys, tmp_path, argv, expected):
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(TRIANGLE_G6.encode() + b"\nD~{\n")
+    code, _, err = run(capsys, *(str(path) if arg == "PATH" else arg for arg in argv))
+    assert code == 0
+    masked = re.sub(r'"wall_time_s": \d+\.\d+', '"wall_time_s": T', err)
+    assert masked == expected.replace('"PATH"', json.dumps(str(path)))
 
 
 def test_manifest_wall_time_ignores_wall_clock_steps(capsys, monkeypatch, tmp_path):

@@ -8,6 +8,7 @@ import inspect
 import pickle
 import sys
 import types
+from functools import reduce
 from pathlib import Path
 
 import matchbounds
@@ -15,6 +16,7 @@ import matchbounds
 from matchbounds.graphs import MalformedGraph6Error
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchbounds"
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def test_package_has_no_assert_statements():
@@ -134,3 +136,36 @@ def test_package_exceptions_survive_pickling():
         assert type(back) is cls
         assert str(back) == str(exc)
         assert getattr(back, "offset", None) == getattr(exc, "offset", None)
+
+
+def test_every_name_the_bench_binds_resolves():
+    # ``bench/tracer.py`` wraps the functions ``TRACED`` names, with
+    # ``_connected_levels`` and ``Graph.__init__``, and the bench's worker
+    # and self-test call the package by attribute; a renamed one would
+    # only show as a failed benchmark run.  Each must be bound where the
+    # bench looks for it.
+    tracer = ast.parse((BENCH / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "TRACED" for target in node.targets))
+    names = {f"{module}.{name}" for module, names in traced.items() for name in names}
+    names |= {"enumeration._connected_levels", "graphs.Graph.__init__"}
+    for path in (BENCH / "worker.py", BENCH / "test_bench.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.insert(0, node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id == "matchbounds":
+                names.add(".".join(parts))
+    assert "cli.main" in names and "nu" in names
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"matchbounds.{path.stem}")
+    missing = []
+    for name in sorted(names):
+        try:
+            reduce(lambda value, part: vars(value)[part], name.split("."), matchbounds)
+        except KeyError:
+            missing.append(name)
+    assert missing == []
