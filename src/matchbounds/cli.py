@@ -16,7 +16,6 @@ import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -65,31 +64,9 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunManifest:
-    """Summary of one harness run; written to stderr (or --manifest PATH)
-    even when the run is interrupted."""
-
-    command: str
-    config: dict
-    corpus: str
-    counts: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    partial: bool = False
-
-
 def _approx(x: float) -> str:
     """Display-only 6-place decimal rendering."""
     return f"{x:.6f}"
-
-
-def _write_manifest(manifest: RunManifest, path: str | None) -> None:
-    payload = json.dumps(asdict(manifest))
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload, file=sys.stderr)
 
 
 def _triple_type(parts: list[str]) -> CoefficientTriple:
@@ -124,13 +101,10 @@ def _corpus(args) -> tuple[str, Iterator[Graph | bytes]]:
                 yield from iter_graph6_lines(fh)
         return args.file, stream()
 
-    size = 16 if args.size is None else args.size
-    seed = 0 if args.seed is None else args.seed
-
     def rand_stream() -> Iterator[Graph]:
         for i in range(args.random):
-            yield random_subcubic(size, seed + i)
-    return f"random x{args.random} n={size} seed={seed}", rand_stream()
+            yield random_subcubic(args.size, args.seed + i)
+    return f"random x{args.random} n={args.size} seed={args.seed}", rand_stream()
 
 
 def _decode(item: Graph | bytes) -> tuple[Graph, bytes | None]:
@@ -145,7 +119,8 @@ def _graph6_text(g: Graph, line: bytes | None) -> str:
 
 @contextmanager
 def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
-    """Run one corpus sweep under its manifest.
+    """Run one corpus sweep under its manifest, a JSON object written to
+    ``--manifest PATH``, or else to stderr.
 
     Yields ``(corpus stream, counts)``; the caller adds to ``counts``, which
     the manifest holds.  Any exception, ``KeyboardInterrupt`` included,
@@ -153,37 +128,36 @@ def _sweep(args, command: str, config: dict, count_names: tuple[str, ...]):
     output is flushed; it is written either way."""
     started = time.perf_counter()
     corpus, stream = _corpus(args)
-    manifest = RunManifest(command, config, corpus, counts=dict.fromkeys(count_names, 0))
+    manifest = {"command": command, "config": config, "corpus": corpus,
+                "counts": dict.fromkeys(count_names, 0), "wall_time_s": 0.0, "partial": False}
     try:
-        yield stream, manifest.counts
+        yield stream, manifest["counts"]
         sys.stdout.flush()
     except BaseException:
-        manifest.partial = True
+        manifest["partial"] = True
         raise
     finally:
-        manifest.wall_time_s = round(time.perf_counter() - started, 3)
-        _write_manifest(manifest, args.manifest)
+        manifest["wall_time_s"] = round(time.perf_counter() - started, 3)
+        payload = json.dumps(manifest)
+        if args.manifest:
+            with open(args.manifest, "w") as fh:
+                fh.write(payload + "\n")
+        else:
+            print(payload, file=sys.stderr)
 
 
 def _selected_bounds(args) -> list[BoundSpec]:
-    specs: list[BoundSpec] = []
-    if args.bounds:
-        if args.bounds == "all":
-            specs.extend(sharp_bounds())
-        else:
-            for name in args.bounds.split(","):
-                specs.append(bound_by_name(name.strip()))
+    """The bounds ``--bounds`` names: by default all five, or none when
+    ``--triple`` is given; then the ``--triple`` bound, if any."""
+    if args.bounds is None:
+        specs = [] if args.triple else sharp_bounds()
+    elif args.bounds == "all":
+        specs = sharp_bounds()
+    else:
+        specs = [bound_by_name(name.strip()) for name in args.bounds.split(",")]
     if args.triple:
-        specs.append(
-            BoundSpec(
-                triple=_triple_type(args.triple),
-                k_const=args.k if args.k is not None else Fraction(0),
-                per_component=False,
-                name="custom",
-            )
-        )
-    if not specs:
-        specs.extend(sharp_bounds())
+        specs.append(BoundSpec(triple=_triple_type(args.triple), k_const=args.k,
+                               per_component=False, name="custom"))
     return specs
 
 
@@ -360,8 +334,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    x = _triple_type(args.triple)
-    k = args.k if args.k is not None else Fraction(0)
+    x, k = _triple_type(args.triple), args.k
     try:
         spec = _violated_member(x, k)
     except TripleInPError:
@@ -421,13 +394,21 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
 # fractions get this one, which adds -p/q.
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
-# Flags that only qualify another flag: (flag, the flag it needs).
-_QUALIFIERS = (("size", "random"), ("seed", "random"), ("k", "triple"))
+# Flags that only qualify another flag: (flag, the flag it needs, the
+# value it takes when left out).  Each is parsed with default None, so
+# that one given without the flag it needs can be told from one left out.
+_QUALIFIERS = (("size", "random", 16), ("seed", "random", 0), ("k", "triple", Fraction(0)))
 
 
-def _reject_lone_qualifiers(parser: argparse.ArgumentParser, args) -> None:
-    for flag, needed in _QUALIFIERS:
-        if getattr(args, flag, None) is not None and getattr(args, needed, None) is None:
+def _qualify(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a qualifier given without the flag it needs; fill in the
+    default of each one left out."""
+    for flag, needed, default in _QUALIFIERS:
+        if not hasattr(args, flag):
+            continue
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif getattr(args, needed) is None:
             parser.error(f"argument --{flag}: requires --{needed}")
 
 
@@ -501,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _reject_lone_qualifiers(parser, args)
+        _qualify(parser, args)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -218,7 +218,7 @@ def is_connected(g: Graph) -> bool:
 
 _G6_HEADER = b">>graph6<<"
 
-# Largest order emitted: its line is n(n-1)/12 bytes, about 33 MB here.
+# Largest order read or emitted: its line is n(n-1)/12 bytes, about 33 MB here.
 MAX_GRAPH6_ORDER = 20_000
 
 _G6_INVALID = re.compile(rb"[^?-~]")
@@ -291,12 +291,17 @@ def emit_graph6(g: Graph) -> bytes:
 
 
 def parse_graph6(line: bytes | str) -> Graph:
-    """Decode one graph6 line; a ``>>graph6<<`` header prefix is tolerated."""
+    """Decode one graph6 line; a ``>>graph6<<`` header prefix is tolerated.
+
+    A line whose size prefix is over ``MAX_GRAPH6_ORDER`` is refused with
+    ``check_graph6_order``'s ``ValueError`` before its body is read, so
+    graph6 is read up to the order it is written."""
     data = line.encode("ascii") if isinstance(line, str) else line
     data = data.rstrip(b"\r\n")
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]
     n, at = _decode_size(data)
+    check_graph6_order(n)
     nbits = n * (n - 1) // 2
     end = at + _body_length(n)
     if len(data) < end:
@@ -334,8 +339,8 @@ def read_graph6_line(line: bytes) -> tuple[Graph, bytes]:
     ``emit_graph6`` writes for that graph: the shortest size prefix and
     the line's body.  ``parse_graph6`` rejects trailing bytes and nonzero
     padding bits, so the body is the only encoding of the graph, whatever
-    the line's prefix or header.  A graph over ``MAX_GRAPH6_ORDER``
-    vertices is refused with ``emit_graph6``'s ``ValueError``."""
+    the line's prefix or header.  A line over ``MAX_GRAPH6_ORDER``
+    vertices is refused by ``parse_graph6``."""
     g = parse_graph6(line)
     n = g.n
     # Not line[-k:], which for an empty body (n <= 1) is the whole line.

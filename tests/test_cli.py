@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import matchbounds.bounds
 import matchbounds.cli
+import matchbounds.graphs
 import matchbounds.structure
 from matchbounds.bounds import valid_constant
 from matchbounds.cli import main
@@ -527,10 +528,17 @@ def test_verify_file_encodes_no_graph(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
-def test_file_graph_above_the_graph6_cap_is_refused_where_read(capsys, tmp_path):
+class _UnscannedBody:
+    def finditer(self, *args):
+        raise AssertionError("the body of a graph6 line above the cap was scanned")
+
+
+def test_file_graph_above_the_graph6_cap_is_refused_where_read(capsys, monkeypatch, tmp_path):
     # The empty graph on MAX_GRAPH6_ORDER + 1 vertices has no emitted text,
-    # so its line is refused as it is read, before it is checked or
-    # counted, even where no report line would print it.
+    # so its line is refused at its size prefix, before its body is
+    # scanned or the graph is checked or counted, even where no report
+    # line would print it.
+    monkeypatch.setattr(matchbounds.graphs, "_G6_NONZERO", _UnscannedBody())
     n = MAX_GRAPH6_ORDER + 1
     path = tmp_path / "huge.g6"
     prefix = b"~" + bytes(63 + (n >> s & 63) for s in (12, 6, 0))
@@ -771,6 +779,13 @@ def test_bound_list_selection(capsys):
     assert names == {"b2", "b4"}
     code, _, _ = run(capsys, "verify", "--enumerate", "3", "--bounds", "b9")
     assert code == 2
+    # An empty entry is an unknown bound, an empty list included, with or
+    # without --triple.
+    for bounds in ("", "b1,,b2"):
+        for triple in ([], ["--triple", "1/2", "0", "0"]):
+            code, out, err = run(capsys, "verify", "--enumerate", "3", "--bounds", bounds, *triple)
+            assert (code, out) == (2, "")
+            assert err == "error: unknown bound '' (expected b1..b5)\n"
 
 
 def test_help_exits_cleanly(capsys):

@@ -307,6 +307,11 @@ def test_graph6_order_is_capped():
     assert len(emit_graph6(Graph(n))) == 4 + (n * (n - 1) // 2 + 5) // 6
     with pytest.raises(ValueError, match="graph too large for graph6"):
         emit_graph6(Graph(n + 1))
+    # It is read up to the same order: a larger size prefix is refused
+    # before the body, here missing, is read.
+    prefix = b"~" + bytes(63 + ((n + 1) >> shift & 63) for shift in (12, 6, 0))
+    with pytest.raises(ValueError, match="graph too large for graph6"):
+        parse_graph6(prefix)
 
 
 def test_iter_graph6_lines_skips_headers_and_blanks():
