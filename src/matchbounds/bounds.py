@@ -1,8 +1,8 @@
 """Evaluation and verification of linear lower bounds on the matching
 number, plus constructive counterexamples for coefficient triples outside
 the characterizing polyhedron: the family witnessing the most violated
-constraint is searched (``families.first_member``) for its first member
-whose closed-form slack is negative.
+constraint gives its least member whose closed-form slack is negative, by
+one floor (``families.least_member``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .families import (
     closed_nu,
     closed_profile,
     family_for_halfspace,
-    first_member,
     generate,
+    least_member,
 )
 from .graphs import Graph, degree_profile
 from .matching import nu
@@ -185,8 +185,8 @@ def _violated_member(triple: CoefficientTriple, k: Fraction) -> FamilySpec:
     if verdict.inside:
         raise TripleInPError(f"{triple} satisfies all six constraints")
     best = max(verdict.violated, key=lambda i: (p.halfspaces[i].margin(triple), -i))
-    return first_member(family_for_halfspace(best + 1),
-                        lambda member: closed_form_slack(member, triple, k) < 0)
+    return least_member(family_for_halfspace(best + 1),
+                        lambda member: closed_form_slack(member, triple, k))
 
 
 def _certified(spec: FamilySpec, triple: CoefficientTriple,

@@ -1,15 +1,17 @@
 """The six extremal families G1(t)..G6(t).
 
 One table, ``_FAMILIES``, states each family's admissible t, the
-constraint it witnesses and its closed forms; ``first_member`` searches a
-family's members.  Vertex numbering is frozen per family (root-first BFS
-for the trees, cycle-then-pendants for the cycle-based ones,
-hub-then-subdivision for G5) so serialized outputs are stable.
+constraint it witnesses and its closed forms; ``least_member`` finds a
+family's least member with negative slack.  Vertex numbering is frozen
+per family (root-first BFS for the trees, cycle-then-pendants for the
+cycle-based ones, hub-then-subdivision for G5) so serialized outputs are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import floor
 from typing import Callable
 
 from .graphs import DegreeProfile, Graph
@@ -18,28 +20,30 @@ from .graphs import DegreeProfile, Graph
 @dataclass(frozen=True)
 class _Family:
     """One family's facts: the admissible t = start, start + step, ...; the
-    1-based position of the ``polyhedron_P`` constraint it witnesses; and
-    closed forms in t for its degree counts (n1, n2, n3) and matching number."""
+    1-based position of the ``polyhedron_P`` constraint it witnesses; whether
+    its closed forms are affine in 2**t (``doubling``) or in t; and closed
+    forms in t for its degree counts (n1, n2, n3) and matching number."""
 
     start: int
     step: int
     witnesses: int
+    doubling: bool
     counts: Callable[[int], tuple[int, int, int]]
     nu: Callable[[int], int]
 
 
 _FAMILIES = {
-    "G1": _Family(1, 2, 3,  # x3 + x1 <= 2/3
+    "G1": _Family(1, 2, 3, True,  # x3 + x1 <= 2/3
                   lambda t: (3 * 2 ** t, 0, 3 * 2 ** t - 2), lambda t: 2 ** (t + 1) - 1),
-    "G2": _Family(1, 2, 1,  # x3 <= 4/9
+    "G2": _Family(1, 2, 1, True,  # x3 <= 4/9
                   lambda t: (0, 0, 9 * 2 ** (t + 1) - 2), lambda t: 2 ** (t + 3) - 1),
-    "G3": _Family(2, 1, 5,  # x3 + x2 + x1 <= 1
+    "G3": _Family(2, 1, 5, False,  # x3 + x2 + x1 <= 1
                   lambda t: (t, t, t), lambda t: t),
-    "G4": _Family(2, 1, 6,  # x3 + x2/6 <= 1/2
+    "G4": _Family(2, 1, 6, False,  # x3 + x2/6 <= 1/2
                   lambda t: (0, t, 6 * t), lambda t: 3 * t),
-    "G5": _Family(4, 2, 4,  # x3 + 3x2/2 <= 1
+    "G5": _Family(4, 2, 4, False,  # x3 + 3x2/2 <= 1
                   lambda t: (0, 3 * t // 2, t), lambda t: t),
-    "G6": _Family(3, 2, 2,  # x2 <= 1/2
+    "G6": _Family(3, 2, 2, False,  # x2 <= 1/2
                   lambda t: (0, t, 0), lambda t: (t - 1) // 2),
 }
 
@@ -115,11 +119,12 @@ def _pendant_cycle_edges(t: int) -> list[tuple[int, int]]:
 def buildable_order(spec: FamilySpec) -> int:
     """The member's order by closed form; a member with more than
     ``MAX_GENERATED_ORDER`` vertices is refused."""
-    # G1 and G2 pass the cap from t = 17 on; deciding t > 64 by t alone
+    # G2 passes the cap from t = 17 on, G1 from t = 19; deciding t > 64 by t alone
     # spares a huge t the evaluation of 2**t.
-    if ((spec.family_id in ("G1", "G2") and spec.t > 64)
+    if ((_FAMILIES[spec.family_id].doubling and spec.t > 64)
             or (order := closed_profile(spec).order) > MAX_GENERATED_ORDER):
-        raise InvalidParameterError(f"{spec.family_id}(t={spec.t}) has more than "
+        t = f"={spec.t}" if spec.t < 10 ** 4300 else " >= 10**4300"  # str() refuses more digits
+        raise InvalidParameterError(f"{spec.family_id}(t{t}) has more than "
                                     f"{MAX_GENERATED_ORDER} vertices; too large to build")
     return order
 
@@ -180,29 +185,17 @@ def family_for_halfspace(index: int) -> str:
     raise ValueError(f"half-space index must be 1..6, got {index}")
 
 
-def first_member(family_id: str, holds: Callable[[FamilySpec], bool]) -> FamilySpec:
-    """The smallest member of family ``family_id`` on which ``holds`` is
-    true, for a ``holds`` that stays true on every larger member once it is.
-
-    Doubling, then bisection, over the admissible t.  A probe on which
-    ``holds`` is still false and that ``generate`` would refuse ends the
-    search with ``generate``'s error: the order rises with t, so no member
-    it can build serves.
-    """
+def least_member(family_id: str, slack: Callable[[FamilySpec], Fraction]) -> FamilySpec:
+    """The least member of family ``family_id`` with negative ``slack``, for
+    a ``slack`` affine in the size 2**t (a doubling family) or t: its rate,
+    from the first two members, must be negative; one floor gives the rest."""
     family = _FAMILIES[family_id]
-
-    def member(j: int) -> FamilySpec:
-        return FamilySpec(family_id, family.start + family.step * j)
-
-    hi = 0
-    while not holds(member(hi)):
-        buildable_order(member(hi))
-        hi = max(2 * hi, 1)
-    lo = hi // 2  # the probe before hi, where holds was false; hi itself if hi is 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(member(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return member(hi)
+    size = (lambda t: 2 ** t) if family.doubling else (lambda t: t)
+    t0, t1 = family.start, family.start + family.step
+    s0 = slack(FamilySpec(family_id, t0))
+    rate = (slack(FamilySpec(family_id, t1)) - s0) / (size(t1) - size(t0))
+    if rate >= 0:
+        raise RuntimeError(f"the slack of {family_id}(t) does not fall with t")
+    m = max(0, floor(size(t0) - s0 / rate))  # the largest size with slack >= 0
+    t = m.bit_length() if family.doubling else m + 1  # the least t with size(t) > m
+    return FamilySpec(family_id, max(t0, t + (t0 - t) % family.step))

@@ -28,13 +28,13 @@ from matchbounds.bounds import (
 )
 from matchbounds.cli import fraction_text, report_json
 from matchbounds.families import (
+    FAMILY_IDS,
     FamilySpec,
-    InvalidParameterError,
     closed_nu,
     closed_profile,
     family_for_halfspace,
-    first_member,
     generate,
+    least_member,
 )
 from matchbounds.graphs import Graph, NotSubcubicError, degree_profile, emit_graph6
 from matchbounds.matching import brute_force_nu, nu
@@ -236,17 +236,17 @@ def test_counterexample_slack_certificate_raises(monkeypatch):
     import matchbounds.bounds as bounds
 
     # G2(t=1) is not yet violated under K = 100 (t = 7 is the first).
-    monkeypatch.setattr(bounds, "first_member", lambda fid, holds: FamilySpec(fid, 1))
+    monkeypatch.setattr(bounds, "least_member", lambda fid, slack: FamilySpec(fid, 1))
     with pytest.raises(RuntimeError, match="not negative"):
         counterexample(triple("1/2", 0, 0), F(100))
 
 
 def test_smallest_violating_t_cap():
-    # 1/3 < 4/9: no G2 member violates, so the search stops at the first
-    # probe that generate could not build.
+    # 1/3 < 4/9: G2's slack grows with t, so no member violates and the
+    # solve refuses rather than return one.
     probe = triple("1/3", 0, 0)
-    with pytest.raises(InvalidParameterError, match="too large to build"):
-        first_member("G2", lambda member: closed_form_slack(member, probe, F(0)) < 0)
+    with pytest.raises(RuntimeError, match="does not fall with t"):
+        least_member("G2", lambda member: closed_form_slack(member, probe, F(0)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -272,6 +272,10 @@ def test_counterexample_certifies_any_outside_triple(x3, x2, x1, k):
         1 + max(verdict.violated, key=lambda i: (p.halfspaces[i].margin(tr), -i))
     )
     assert spec.family_id == expected
+    # The member is the least: the admissible one before it is not violated.
+    start, step = _NECESSITY[spec.family_id][:2]
+    if spec.t > start:
+        assert closed_form_slack(FamilySpec(spec.family_id, spec.t - step), tr, k) >= 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -312,11 +316,34 @@ def test_counterexample_picks_most_violated_constraint():
     assert spec.family_id == "G6"
 
 
-def test_counterexample_slack_decreases():
-    tr = triple("1/3", "4/9", "1/3")
-    values = [closed_form_slack(FamilySpec("G3", t), tr, F(0)) for t in range(2, 7)]
-    assert all(b < a for a, b in zip(values, values[1:]))
-    assert all(s < 0 for s in values)
+# Per family: first admissible t, step, the 1-based position of the
+# constraint it witnesses, c, f and s0 in the identity
+#     closed_form_slack(member t, x, K) == s0(x) + K - c * margin(x) * f(t).
+_NECESSITY = {
+    "G1": (1, 2, 3, 3, lambda t: 2 ** t, lambda x: 2 * x.x3 - 1),
+    "G2": (1, 2, 1, 18, lambda t: 2 ** t, lambda x: 2 * x.x3 - 1),
+    "G3": (2, 1, 5, 1, lambda t: t, lambda x: 0),
+    "G4": (2, 1, 6, 6, lambda t: t, lambda x: 0),
+    "G5": (4, 2, 4, 1, lambda t: t, lambda x: 0),
+    "G6": (3, 2, 2, 1, lambda t: t, lambda x: F(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("family_id", FAMILY_IDS)
+def test_necessity_is_one_slack_identity(family_id):
+    # Both sides are affine in x, so (0,0,0), e1, e2 and e3 decide the
+    # identity for every triple; (1/3, 4/9, 1/3) is one more. Outside P the
+    # margin is positive, so the slack falls without bound: no K is valid.
+    start, step, witnesses, c, f, s0 = _NECESSITY[family_id]
+    assert family_for_halfspace(witnesses) == family_id
+    halfspace = polyhedron_P().halfspaces[witnesses - 1]
+    triples = [triple(0, 0, 0), triple(1, 0, 0), triple(0, 1, 0), triple(0, 0, 1),
+               triple("1/3", "4/9", "1/3")]
+    for t in range(start, start + 12 * step, step):
+        for x in triples:
+            for k in (F(0), F(7, 3)):
+                assert (closed_form_slack(FamilySpec(family_id, t), x, k)
+                        == s0(x) + k - c * halfspace.margin(x) * f(t)), (t, x, k)
 
 
 def test_report_schema():

@@ -673,13 +673,17 @@ def test_family_refuses_members_too_large_to_build(capsys, family, t):
     assert out == "" and "too large to build" in err
 
 
+_BIG = 10 ** 4299  # G3's least violating t at margin 1/_BIG and K = _BIG has 8 599 digits
+
+
 @pytest.mark.parametrize("triple, k, member", [
-    (("0", "1/2", "51/100"), "100000000000", "G3(t=1048578)"),
-    (("1/3", "0", "35/100"), "10000000000000", "G1(t=33)"),
+    (("0", "1/2", "51/100"), "100000000000", "G3(t=10000000000001)"),
+    (("1/3", "0", "35/100"), "10000000000000", "G1(t=49)"),
+    pytest.param(("0", "1/2", f"{_BIG + 2}/{2 * _BIG}"), str(_BIG), "G3(t >= 10**4300)",
+                 id="t-too-long-for-str"),
 ])
 def test_counterexample_refuses_members_too_large_to_build(capsys, triple, k, member):
-    # The search stops at its first probe that is still not violated and
-    # that generate refuses; no smaller member can serve.
+    # The refusal names the least violating member; no smaller one serves.
     code, out, err = run(capsys, "counterexample", "--triple", *triple, "--k", k)
     assert code == 2
     assert out == "" and err.startswith(f"error: {member} has more than")
