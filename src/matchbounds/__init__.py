@@ -37,17 +37,13 @@ from .graphs import (
     NotSubcubicError,
     degree_profile,
     emit_graph6,
-    is_connected,
-    is_subcubic,
     parse_graph6,
 )
 from .matching import (
-    Matching,
     TooLargeError,
     brute_force_nu,
     has_perfect_matching,
     is_hypomatchable,
-    max_matching,
     nu,
 )
 from .polytope import (

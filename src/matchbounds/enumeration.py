@@ -98,7 +98,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
-from .graphs import Graph, _degree_error, is_subcubic
+from .graphs import Graph, degree_profile
 
 _HARD_MAX_N = 12
 
@@ -145,8 +145,7 @@ def _unpack(key: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _subcubic_invariants(g: Graph) -> list[int]:
-    if not is_subcubic(g):
-        raise _degree_error(g._adj)
+    degree_profile(g)  # raises NotSubcubicError on a degree above 3
     return _invariants(g._adj)
 
 

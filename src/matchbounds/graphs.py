@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 
 class NotSubcubicError(ValueError):
@@ -88,9 +88,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     # -- derived graphs ------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
@@ -106,10 +103,6 @@ class Graph:
         adj = self._adj
         sub = tuple(tuple(pos[w] for w in adj[u] if w in pos) for u in old)
         return Graph._from_adjacency(sub), tuple(old)
-
-    def without_vertex(self, v: int) -> tuple["Graph", tuple[int, ...]]:
-        self._check_vertex(v)
-        return self.induced(u for u in range(self.n) if u != v)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -148,11 +141,6 @@ class DegreeProfile:
     @property
     def order(self) -> int:
         return self.n0 + self.n1 + self.n2 + self.n3
-
-
-def is_subcubic(g: Graph) -> bool:
-    """True iff every vertex has degree at most 3."""
-    return all(len(nb) <= 3 for nb in g._adj)
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
@@ -204,10 +192,6 @@ def _components(
         out.append(component)
         left -= len(component)
     return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_components(g._adj)) == 1
 
 
 # -- graph6 ---------------------------------------------------------------
@@ -293,11 +277,12 @@ def emit_graph6(g: Graph) -> bytes:
 def parse_graph6(line: bytes | str) -> Graph:
     """Decode one graph6 line; a ``>>graph6<<`` header prefix is tolerated.
 
-    A line whose size prefix is over ``MAX_GRAPH6_ORDER`` is refused with
+    One line end ("\\n", "\\r\\n" or "\\r") is removed.  A line whose size
+    prefix is over ``MAX_GRAPH6_ORDER`` is refused with
     ``check_graph6_order``'s ``ValueError`` before its body is read, so
     graph6 is read up to the order it is written."""
     data = line.encode("ascii") if isinstance(line, str) else line
-    data = data.rstrip(b"\r\n")
+    data = data.removesuffix(b"\n").removesuffix(b"\r")
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]
     n, at = _decode_size(data)
@@ -347,11 +332,20 @@ def read_graph6_line(line: bytes) -> tuple[Graph, bytes]:
     return g, _size_prefix(n) + line[len(line) - _body_length(n):]
 
 
-def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[bytes]:
-    """The graph6 lines of a stream, stripped, without blank and header
-    lines; ``read_graph6_line`` decodes each, a glued header included."""
-    for raw in lines:
-        data = raw.encode("ascii") if isinstance(raw, str) else raw
-        data = data.strip()
+def iter_graph6_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The graph6 lines of the binary stream ``fh``, stripped, without
+    blank and header lines; ``read_graph6_line`` decodes each, a glued
+    header included.  A line is read up to the longest one
+    ``MAX_GRAPH6_ORDER`` allows: a glued header, the 8-byte size prefix,
+    the body and "\\r\\n".  A longer line is cut there and yielded as read,
+    and nothing after it is read: ``read_graph6_line`` refuses the cut at
+    its first byte or size prefix, or for the bytes after its adjacency
+    data, which it always has."""
+    limit = len(_G6_HEADER) + 8 + _body_length(MAX_GRAPH6_ORDER) + 2
+    while raw := fh.readline(limit):
+        if len(raw) == limit and raw[-1] != 10:  # no "\n": the line goes on
+            yield raw
+            return
+        data = raw.strip()
         if data and data != _G6_HEADER:
             yield data

@@ -1,22 +1,19 @@
 """Exact maximum matching: blossom algorithm plus a brute-force oracle.
 
-``max_matching`` implements Edmonds' blossom contraction and is the
-workhorse.  One alternating-forest search (``_Forest``) serves
-``max_matching``, ``nu``, ``has_perfect_matching``, ``is_hypomatchable``
-and the Gallai-Edmonds decomposition: grown from one exposed root it
-finds an augmenting path or proves none starts there.  A search costs
-what it touches, never a pass over all n vertices, and a failed
-search's tree is skipped by all later ones.  Once every exposed vertex
-of the final matching has been searched from, the even vertices of
-those failed searches are the decomposition's A.  ``brute_force_nu`` is
-an independent branch-and-bound used to cross-validate it.  Both are
-deterministic: vertices and adjacency are always processed in index
-order.
+``_matching_array`` implements Edmonds' blossom contraction and returns
+a mate array.  One alternating-forest search (``_Forest``) serves ``nu``,
+``has_perfect_matching``, ``is_hypomatchable`` and the Gallai-Edmonds
+decomposition: grown from one exposed root it finds an augmenting path
+or proves none starts there.  A search costs what it touches, never a
+pass over all n vertices, and a failed search's tree is skipped by all
+later ones.  Once every exposed vertex of the final matching has been
+searched from, the even vertices of those failed searches are the
+decomposition's A.  ``brute_force_nu`` is an independent
+branch-and-bound used to cross-validate it.  Both are deterministic:
+vertices and adjacency are always processed in index order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graphs import Graph
 
@@ -26,24 +23,6 @@ class TooLargeError(ValueError):
 
 
 _BRUTE_FORCE_EDGE_LIMIT = 40
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges."""
-
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for u, v in self.edges:
-            if u in seen or v in seen or u == v:
-                raise ValueError("matching edges are not vertex-disjoint")
-            seen.add(u)
-            seen.add(v)
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 class _Forest:
@@ -246,18 +225,6 @@ def _matching_array(g: Graph, every_root: bool = False) -> tuple[list[int], list
     return mate, [v for v in range(n) if even[v]]
 
 
-def max_matching(g: Graph) -> Matching:
-    """A maximum matching of ``g`` (deterministic for a fixed input)."""
-    mate, _ = _matching_array(g)
-    edges = frozenset(
-        (u, mate[u]) for u in range(g.n) if mate[u] > u
-    )
-    m = Matching(edges)
-    if not m.edges <= g.edges:
-        raise RuntimeError("matching uses non-edges")
-    return m
-
-
 def nu(g: Graph) -> int:
     """The matching number of ``g``."""
     mate, _ = _matching_array(g)
@@ -278,7 +245,7 @@ def brute_force_nu(g: Graph) -> int:
     # Most-constrained first: edges with high endpoint degrees early.
     edges = sorted(
         g.edges,
-        key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e),
+        key=lambda e: (-(len(g.neighbors(e[0])) + len(g.neighbors(e[1]))), e),
     )
     n = g.n
     best = 0

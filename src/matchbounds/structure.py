@@ -72,7 +72,8 @@ def _gallai_edmonds_by_definition(g: Graph) -> GEDecomposition:
     oracle for ``verify_ge_properties``."""
     base = nu(g)
     return _partition(g, frozenset(
-        v for v in range(g.n) if nu(g.without_vertex(v)[0]) == base
+        v for v in range(g.n)
+        if nu(g.induced(u for u in range(g.n) if u != v)[0]) == base
     ))
 
 

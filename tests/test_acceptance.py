@@ -34,7 +34,7 @@ from matchbounds.families import (
     generate,
 )
 from matchbounds.graphs import Graph, degree_profile
-from matchbounds.matching import brute_force_nu, max_matching
+from matchbounds.matching import brute_force_nu, nu
 from matchbounds.polytope import (
     CoefficientTriple,
     HalfSpace,
@@ -141,7 +141,7 @@ def test_criterion_04_family_closed_forms():
             g = generate(spec)
             if degree_profile(g) != closed_profile(spec):
                 failures.append((spec, "profile"))
-            if len(max_matching(g)) != closed_nu(spec):
+            if nu(g) != closed_nu(spec):
                 failures.append((spec, "nu"))
             checked += 1
     record_criterion(
@@ -381,14 +381,14 @@ def test_criterion_09_matcher_oracle_agreement(corpus_by_n):
     corpus_size = 0
     for g in connected_upto(corpus_by_n, 10):
         corpus_size += 1
-        if len(max_matching(g)) != brute_force_nu(g):
+        if nu(g) != brute_force_nu(g):
             mismatches += 1
     random_checked = 0
     for i in range(1000):
         n = 4 + (i % 13)  # orders 4..16
         g = random_subcubic(n, seed=i)
         random_checked += 1
-        if len(max_matching(g)) != brute_force_nu(g):
+        if nu(g) != brute_force_nu(g):
             mismatches += 1
     ok = mismatches == 0
     record_criterion(

@@ -27,8 +27,6 @@ from matchbounds.graphs import (
     NotSubcubicError,
     degree_profile,
     emit_graph6,
-    is_connected,
-    is_subcubic,
 )
 
 from .conftest import relabel
@@ -369,8 +367,9 @@ def test_removable_matches_a_connectivity_search(corpus_by_n):
     for n in range(1, 10):
         for g in corpus_by_n[n]:
             for v in range(n):
-                rest, _ = g.without_vertex(v)
-                assert enumeration._removable(g._adj, v) == is_connected(rest), (g.edges, v)
+                rest, _ = g.induced(u for u in range(n) if u != v)
+                connected = degree_profile(rest).c <= 1
+                assert enumeration._removable(g._adj, v) == connected, (g.edges, v)
                 checked += 1
     assert checked == 7036
 
@@ -561,13 +560,12 @@ def test_stream_is_duplicate_free(corpus_by_n):
 def test_stream_contents_are_valid(corpus_by_n):
     for n in corpus_by_n:
         for g in corpus_by_n[n]:
-            assert is_subcubic(g)
-            assert is_connected(g)
+            assert degree_profile(g).c == 1  # subcubic, or it raises, and connected
 
 
 def test_cubic_subfamily_matches_literature(sweep_corpus_by_n):
     cubic = {
-        n: sum(1 for g in gs if all(g.degree(v) == 3 for v in range(g.n)))
+        n: sum(1 for g in gs if degree_profile(g).n3 == n)
         for n, gs in sweep_corpus_by_n.items()
     }
     assert {n: c for n, c in cubic.items() if c} == _swept(CUBIC_COUNTS, sweep_corpus_by_n)
@@ -684,8 +682,7 @@ def test_random_subcubic_contract():
         for seed in range(300):
             g = random_subcubic(n, seed)
             assert g.n == n
-            assert is_subcubic(g)
-            assert is_connected(g)
+            assert degree_profile(g).c == 1  # subcubic, or it raises, and connected
             assert n - 1 <= len(g.edges) <= 3 * n // 2
             if n == 12:
                 sizes_at_12.add(len(g.edges))
@@ -706,7 +703,6 @@ def test_random_subcubic_is_pinned():
 def test_random_subcubic_large_order():
     n = 50_000
     g = random_subcubic(n, 3)
-    assert is_subcubic(g)
-    assert is_connected(g)
+    assert degree_profile(g).c == 1
     assert n - 1 <= len(g.edges) <= 3 * n // 2
     assert random_subcubic(n, 3) == g

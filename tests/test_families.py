@@ -18,7 +18,7 @@ from matchbounds.families import (
     family_for_halfspace,
     generate,
 )
-from matchbounds.graphs import Graph, degree_profile, is_connected
+from matchbounds.graphs import Graph, degree_profile
 from matchbounds.matching import nu
 
 from .conftest import family_members
@@ -45,7 +45,7 @@ def _is_bipartite(g: Graph) -> bool:
 def test_g1_smallest_member():
     g = generate(FamilySpec("G1", 1))
     assert g.n == 10
-    assert g.degree(0) == 3
+    assert len(g.neighbors(0)) == 3
     assert degree_profile(g).n1 == 6  # six leaves under three children
 
 
@@ -81,8 +81,7 @@ def test_closed_forms_match_generated_graphs():
                 break
             g = generate(spec)
             assert g.n == closed_profile(spec).order
-            assert degree_profile(g) == closed_profile(spec), spec
-            assert is_connected(g), spec
+            assert degree_profile(g) == closed_profile(spec), spec  # c = 1: connected
             if g.n <= 60:
                 assert nu(g) == closed_nu(spec), spec
 

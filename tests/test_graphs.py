@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import random
+import tracemalloc
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchbounds import enumeration
+from matchbounds import enumeration, graphs
 from matchbounds.enumeration import random_subcubic
 from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import (
@@ -22,9 +25,9 @@ from matchbounds.graphs import (
     _components,
     degree_profile,
     emit_graph6,
-    is_connected,
-    is_subcubic,
+    iter_graph6_lines,
     parse_graph6,
+    read_graph6_line,
 )
 
 from .conftest import connected_upto, relabel
@@ -145,12 +148,6 @@ def test_graph_is_immutable():
         g.n = 5
 
 
-def test_is_subcubic():
-    assert is_subcubic(K4)
-    assert not is_subcubic(K5)
-    assert is_subcubic(Graph(0))
-
-
 def test_degree_profile_examples():
     assert degree_profile(generate(FamilySpec("G3", 2))) == DegreeProfile(
         n0=0, n1=2, n2=2, n3=2, c=1
@@ -159,6 +156,8 @@ def test_degree_profile_examples():
         n0=0, n1=0, n2=0, n3=34, c=1
     )
     assert degree_profile(C5) == DegreeProfile(n0=0, n1=0, n2=5, n3=0, c=1)
+    assert degree_profile(K4) == DegreeProfile(n0=0, n1=0, n2=0, n3=4, c=1)
+    assert degree_profile(Graph(0)) == DegreeProfile(n0=0, n1=0, n2=0, n3=0, c=0)
 
 
 def test_degree_profile_rejects_high_degree():
@@ -180,8 +179,6 @@ def test_components():
     assert _components(Graph(0)._adj) == []
     assert _components(C5._adj, [4, 1, 3]) == [[1], [3, 4]]
     assert _components(C5._adj, ()) == []
-    assert is_connected(C5) and is_connected(Graph(1)) and is_connected(Graph(0))
-    assert not is_connected(two_triangles)
 
 
 def test_components_ordered_by_smallest_original_index():
@@ -233,9 +230,6 @@ def test_induced_rejects_vertices_out_of_range():
     for keep, bad in (([-1, 0], -1), ([4, -1], -1), ([0, 5], 5), ([5], 5)):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
             C5.induced(keep)
-    for v in (-1, 5):
-        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
-            C5.without_vertex(v)
     # A repeated vertex is kept once.
     assert C5.induced([3, 0, 3, 4, 0]) == (Graph(3, [(0, 2), (1, 2)]), (0, 3, 4))
 
@@ -262,6 +256,15 @@ def test_graph6_roundtrip_corpus(corpus_by_n):
 
 def test_graph6_header_tolerated():
     assert parse_graph6(b">>graph6<<Bw") == Graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_graph6_one_line_end_removed():
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for end in (b"\n", b"\r\n", b"\r"):
+        assert parse_graph6(b"Bw" + end) == triangle
+    for end in (b"\n\n", b"\r\r\n", b"\r\r"):
+        with pytest.raises(MalformedGraph6Error, match="trailing bytes"):
+            parse_graph6(b"Bw" + end)
 
 
 def test_graph6_five_vertex_star():
@@ -315,10 +318,8 @@ def test_graph6_order_is_capped():
 
 
 def test_iter_graph6_lines_skips_headers_and_blanks():
-    from matchbounds.graphs import iter_graph6_lines
-
-    lines = [b">>graph6<<", b"", b"Bw", b" >>graph6<< \r\n", "Cs\n", b">>graph6<<Bw\n"]
-    read = list(iter_graph6_lines(lines))
+    stream = io.BytesIO(b">>graph6<<\n\nBw\n >>graph6<< \r\nCs\n>>graph6<<Bw")
+    read = list(iter_graph6_lines(stream))
     # A glued header is left to parse_graph6, which removes it once.
     assert read == [b"Bw", b"Cs", b">>graph6<<Bw"]
     assert list(map(parse_graph6, read)) == [
@@ -328,9 +329,82 @@ def test_iter_graph6_lines_skips_headers_and_blanks():
     ]
 
 
-def test_read_graph6_line_returns_the_emitted_text():
-    from matchbounds.graphs import read_graph6_line
+def _decoded(text: bytes) -> list:
+    """The graph of each line of ``text`` by ``read_graph6_line``, as the
+    CLI reads ``--file``, then the error that stops the reading, if any."""
+    out = []
+    try:
+        for line in iter_graph6_lines(io.BytesIO(text)):
+            out.append(read_graph6_line(line)[0])
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
 
+
+def test_iter_graph6_lines_reads_up_to_the_longest_line_the_cap_allows(monkeypatch):
+    # At a cap of n = 100: the longest line, a glued header, the 8-byte
+    # prefix, the body and "\r\n", is read whole.  One byte more and the
+    # line is cut, refused as its first bytes decide, and nothing after it
+    # is read: whitespace that makes a line that long is part of it.
+    monkeypatch.setattr(graphs, "MAX_GRAPH6_ORDER", 100)
+    path = Graph(100, [(i, i + 1) for i in range(99)])
+    content = b">>graph6<<~~???" + emit_graph6(path)[1:]
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert _decoded(content + b"\r\nBw\n") == [path, triangle]
+    trailing = f"trailing bytes after adjacency data (byte offset {len(content) - 10})"
+    for tail in (b"?\r\n", b"  \n", b"\r\r\n"):
+        assert _decoded(content + tail + b"Bw\n") == [trailing]
+    over = b"~" + bytes(63 + (101 >> s & 63) for s in (12, 6, 0))
+    assert _decoded(over + b"?" * 2000 + b"\nBw\n") == [
+        "graph too large for graph6: n=101 (at most 100)"]
+    for line in (b"  " + content, b" " * 2000 + b"Bw"):
+        assert _decoded(line + b"\nBw\n") == ["invalid size byte 32 (byte offset 0)"]
+
+
+class _ChunkStream(io.RawIOBase):
+    """A raw binary stream of ``chunks``, copied out as they are read."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+        self._left = memoryview(b"")
+        self.consumed = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        while not self._left:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                return 0
+            self._left = memoryview(chunk)
+        k = min(len(buf), len(self._left))
+        buf[:k] = self._left[:k]
+        self._left = self._left[k:]
+        self.consumed += k
+        return k
+
+
+def test_over_long_line_is_read_in_bounded_memory(monkeypatch):
+    # A line 100 times the longest the cap allows, made as it is read, is
+    # refused holding a few copies of that longest line at most.
+    monkeypatch.setattr(graphs, "MAX_GRAPH6_ORDER", 2000)
+    longest = 10 + 8 + (2000 * 1999 // 2 + 5) // 6 + 2
+    block = b"?" * (1 << 16)
+    raw = _ChunkStream(chain([b"~??"], repeat(block, 100 * longest // len(block)), [b"\nBw\n"]))
+    tracemalloc.start()
+    try:
+        lines = iter_graph6_lines(io.BufferedReader(raw))
+        with pytest.raises(MalformedGraph6Error, match="trailing bytes"):
+            read_graph6_line(next(lines))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * longest
+    assert raw.consumed < 2 * longest
+
+
+def test_read_graph6_line_returns_the_emitted_text():
     # Orders on both sides of n = 62, where the emitted prefix grows from
     # 1 byte to 4; n <= 1 has an empty body.
     for g in [Graph(0), *(random_subcubic(n, n) for n in (1, 2, 13, 62, 63, 300))]:
@@ -448,8 +522,10 @@ def test_graph6_roundtrip_random(g):
 @settings(max_examples=60, deadline=None)
 @given(random_graphs(), st.randoms())
 def test_profile_invariant_under_relabeling(g, rnd):
-    if not is_subcubic(g):
+    try:
+        prof = degree_profile(g)
+    except NotSubcubicError:
         return
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    assert degree_profile(relabel(g, perm)) == degree_profile(g)
+    assert degree_profile(relabel(g, perm)) == prof

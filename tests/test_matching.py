@@ -12,10 +12,10 @@ from matchbounds.families import FamilySpec, generate
 from matchbounds.graphs import Graph
 from matchbounds.matching import (
     TooLargeError,
+    _matching_array,
     brute_force_nu,
     has_perfect_matching,
     is_hypomatchable,
-    max_matching,
     nu,
 )
 
@@ -53,44 +53,33 @@ def test_brute_force_guard():
         brute_force_nu(big)
 
 
-def test_matching_is_valid_and_maximum():
-    for g in (C4, C5, K4, K13, PETERSEN):
-        m = max_matching(g)
-        assert all(e in g.edges for e in m.edges)
-        seen = [v for e in m.edges for v in e]
-        assert len(seen) == len(set(seen))
-        assert len(m) == brute_force_nu(g)
+def _pairs(mate: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for u, v in enumerate(mate) if u < v]
+
+
+def test_matching_is_valid_and_maximum(corpus_by_n):
+    # The mate array behind ``nu``: each matched vertex is paired with a
+    # neighbour that is paired back with it, and the pairs are maximum.
+    for g in connected_upto(corpus_by_n, 9):
+        mate, _ = _matching_array(g)
+        assert len(mate) == g.n
+        for v, u in enumerate(mate):
+            assert u == -1 or (u in g.neighbors(v) and mate[u] == v), (g, v)
+        assert len(_pairs(mate)) == nu(g) == brute_force_nu(g), g
 
 
 def test_matching_deterministic():
-    a = max_matching(PETERSEN)
-    b = max_matching(PETERSEN)
-    assert a == b
+    a, _ = _matching_array(PETERSEN)
+    assert _matching_array(PETERSEN)[0] == a
     # Golden outputs pinned by the index-order tie-break.
-    assert sorted(a.edges) == [(0, 1), (2, 3), (4, 9), (5, 7), (6, 8)]
+    assert _pairs(a) == [(0, 1), (2, 3), (4, 9), (5, 7), (6, 8)]
     g1 = generate(FamilySpec("G1", 1))
-    assert sorted(max_matching(g1).edges) == [(0, 1), (2, 6), (3, 8)]
-
-
-def test_matching_certificate_raises(monkeypatch):
-    import matchbounds.matching as matching
-
-    # A mate array pairing vertices 0 and 2, which are not adjacent.
-    monkeypatch.setattr(matching, "_matching_array", lambda g: ([2, -1, 0, -1], []))
-    with pytest.raises(RuntimeError, match="non-edges"):
-        max_matching(Graph(4, [(0, 1), (2, 3)]))
-
-
-def test_matching_rejects_overlapping_edges():
-    from matchbounds.matching import Matching
-
-    with pytest.raises(ValueError):
-        Matching(frozenset({(0, 1), (1, 2)}))
+    assert _pairs(_matching_array(g1)[0]) == [(0, 1), (2, 6), (3, 8)]
 
 
 def test_oracle_equivalence_small(corpus_by_n):
     for g in connected_upto(corpus_by_n, 8):
-        assert len(max_matching(g)) == brute_force_nu(g), g
+        assert nu(g) == brute_force_nu(g), g
 
 
 def test_certified_nu_matches_brute_force(corpus_by_n):
@@ -103,7 +92,7 @@ def test_deletion_monotonicity(corpus_by_n):
     for g in connected_upto(corpus_by_n, 8):
         base = nu(g)
         for v in range(g.n):
-            rest, _ = g.without_vertex(v)
+            rest, _ = g.induced(u for u in range(g.n) if u != v)
             assert base - 1 <= nu(rest) <= base, (g, v)
 
 
@@ -130,4 +119,4 @@ def test_is_hypomatchable():
 @given(st.integers(min_value=1, max_value=13), st.integers(min_value=0, max_value=10_000))
 def test_oracle_equivalence_random(n, seed):
     g = random_subcubic(n, seed)
-    assert len(max_matching(g)) == brute_force_nu(g)
+    assert nu(g) == brute_force_nu(g)

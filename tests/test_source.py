@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pickle
+import re
 import sys
 import types
 from functools import reduce
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import matchbounds
 
+from matchbounds.cli import main as cli_main
 from matchbounds.graphs import MalformedGraph6Error
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchbounds"
@@ -99,16 +101,16 @@ def test_public_exports_are_pinned():
         "BoundReport", "BoundSpec", "CoefficientTriple", "DecompositionMismatchError",
         "DegreeProfile", "EnumerationConfig", "FamilySpec", "GEDecomposition",
         "GEPropertyReport", "Graph", "HalfSpace", "InvalidParameterError",
-        "LimitExceededError", "MalformedGraph6Error", "Matching", "Membership",
+        "LimitExceededError", "MalformedGraph6Error", "Membership",
         "NegativeLambdaError", "NotConnectedError", "NotInPError", "NotSubcubicError",
         "Polyhedron", "TooLargeError", "TripleInPError", "UnboundedInputError",
         "brute_force_nu", "canonical_form", "canonical_key", "closed_nu", "closed_profile",
         "contains", "counterexample", "degree_profile", "emit_graph6", "enumerate_subcubic",
         "evaluate_bound", "evaluate_bounds", "gallai_edmonds", "generate",
-        "has_perfect_matching", "is_connected", "is_hypomatchable", "is_subcubic",
-        "max_matching", "nu", "parse_fraction", "parse_graph6", "polyhedron_P",
-        "polyhedron_P_plus", "project_to_Pplus", "random_subcubic", "sharp_bounds",
-        "shift_transform", "triple", "valid_constant", "verify_ge_properties", "vertices",
+        "has_perfect_matching", "is_hypomatchable", "nu", "parse_fraction", "parse_graph6",
+        "polyhedron_P", "polyhedron_P_plus", "project_to_Pplus", "random_subcubic",
+        "sharp_bounds", "shift_transform", "triple", "valid_constant", "verify_ge_properties",
+        "vertices",
     ]
 
 
@@ -136,6 +138,28 @@ def test_package_exceptions_survive_pickling():
         assert type(back) is cls
         assert str(back) == str(exc)
         assert getattr(back, "offset", None) == getattr(exc, "offset", None)
+
+
+README_LIBRARY_OUTPUT = """\
+b1 BoundReport(lhs=1, rhs=Fraction(1, 1), slack=Fraction(0, 1), tight=True)
+b2 BoundReport(lhs=1, rhs=Fraction(1, 1), slack=Fraction(0, 1), tight=True)
+b3 BoundReport(lhs=1, rhs=Fraction(1, 2), slack=Fraction(1, 2), tight=False)
+b4 BoundReport(lhs=1, rhs=Fraction(7, 8), slack=Fraction(1, 8), tight=False)
+b5 BoundReport(lhs=1, rhs=Fraction(1, 1), slack=Fraction(0, 1), tight=True)
+Membership(inside=False, violated=(4,))
+FamilySpec(family_id='G3', t=2) -2/9
+"""
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    # The README's "Library use" block runs as written, and its output
+    # comments quote what it prints.
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == README_LIBRARY_OUTPUT
+    for line in README_LIBRARY_OUTPUT.splitlines()[5:]:
+        assert f"# {line}" in block
 
 
 def test_every_name_the_bench_binds_resolves():
@@ -169,3 +193,107 @@ def test_every_name_the_bench_binds_resolves():
         except KeyError:
             missing.append(name)
     assert missing == []
+
+
+# Functions that no CLI run enters, by reason; every other function of the
+# package must be entered by ``test_every_function_is_reached_from_the_cli``.
+UNREACHED = {
+    "oracle": {"matching.brute_force_nu", "structure._gallai_edmonds_by_definition",
+               "graphs.Graph.edges"},
+    "bound by bench/": {"enumeration.canonical_key", "enumeration.canonical_form",
+                        "enumeration._subcubic_invariants", "enumeration._unpack",
+                        "matching.is_hypomatchable", "structure.verify_ge_properties"},
+    "README library API": {"bounds.counterexample", "polytope.triple"},
+    "value semantics": {"graphs.Graph.__eq__", "graphs.Graph.__hash__",
+                        "graphs.Graph.__repr__"},
+    "pool pickling": {"graphs.Graph.__reduce__"},
+    "console script": {"cli.entry"},
+}
+
+# One invocation of each command, text and JSON, with usage and parse
+# errors.  ``mixed.g6`` holds a disconnected and a non-subcubic line,
+# which a flat --triple skips; ``bad.g6`` ends with a malformed line.
+CLI_RUNS = [
+    ["polytope", "vertices"], ["polytope", "vertices", "--json"],
+    ["polytope", "contains", "1/3", "4/9", "1/3"],
+    ["polytope", "contains", "0", "1/2", "1/2", "--json"],
+    ["polytope", "project", "-1", "0", "5/3"], ["polytope", "shift", "0", "0", "2/3",
+                                                "--lambda", "1", "--json"],
+    ["polytope", "contains", "0.5", "0", "0"],
+    ["verify", "--enumerate", "5"],
+    ["verify", "--enumerate", "4", "--bounds", "b1,b4", "--tight-only", "--json"],
+    ["verify", "--random", "3", "--size", "12", "--seed", "2", "--json"],
+    ["verify", "--file", "{mixed}", "--triple", "1/3", "1/3", "1/3", "--k", "1"],
+    ["verify", "--file", "{bad}", "--json"],
+    ["verify", "--enumerate", "3", "--bounds", "b9"],
+    ["verify", "--size", "5", "--enumerate", "3"],
+    ["verify", "--enumerate", "13"],
+    ["family", "G2", "1", "--stats"], ["family", "G6", "5", "--json"],
+    ["family", "G3", "6667"],
+    ["counterexample", "--triple", "1/3", "4/9", "1/3"],
+    ["counterexample", "--triple", "0", "0", "0", "--json"],
+    ["counterexample", "--triple", "0", "1/2", "1/2"],
+    ["ge", "--enumerate", "6"], ["ge", "--file", "{mixed}", "--json"],
+    ["--help"],
+]
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """Every function the package defines, by (file, first line) as its
+    code object has them, to its qualified name ``module.Class.name``.
+    A decorated function's code starts at its first decorator."""
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[str(path), first] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), f"{path.stem}.")
+    return found
+
+
+def test_every_function_is_reached_from_the_cli(tmp_path, capsys):
+    # A helper that no command reaches, and that no reason below keeps, is
+    # dead code.  Code objects are matched by (file, first line), which
+    # holds on Python 3.10, where code has no ``co_qualname``.
+    (tmp_path / "mixed.g6").write_bytes(b">>graph6<<\nBw\nC`\n\nD~{\n")
+    (tmp_path / "bad.g6").write_bytes(b"Bw\nBo!\n")
+    files = {"mixed": str(tmp_path / "mixed.g6"), "bad": str(tmp_path / "bad.g6")}
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in CLI_RUNS:
+            argv = [arg.format(**files) for arg in argv]
+            if argv[0] in ("verify", "ge"):
+                argv += ["--manifest", str(tmp_path / "manifest.json")]
+            cli_main(argv)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    entered = {(str(Path(path).resolve()), line) for path, line in calls}
+    exempt = set().union(*UNREACHED.values())
+    defined = _defined_functions()
+    assert exempt <= set(defined.values())
+
+    def kept(name: str) -> bool:  # an exempt function, or one nested in it
+        return any(name == e or name.startswith(e + ".<locals>.") for e in exempt)
+
+    unreached = sorted(name for key, name in defined.items()
+                       if key not in entered and not kept(name))
+    assert unreached == []
+    # An exempt function that a run enters needs no exemption.
+    assert sorted(exempt & {defined[key] for key in entered if key in defined}) == []
