@@ -105,8 +105,9 @@ class ScaledBounds:
 
     def values(self, n1: int, n2: int, n3: int, c: int, lhs: int) -> list[tuple[int, int]]:
         """``(rhs_num, slack_num)`` per row for the degree counts, component
-        count and matching number ``lhs``: rhs = rhs_num/D, slack =
-        slack_num/D."""
+        count and matching number ``lhs`` (a ``graph_row``): rhs = rhs_num/D,
+        slack = slack_num/D.  Negative slack is a violation; it is returned,
+        never asserted."""
         top = lhs * self.denominator
         out = []
         for a3, a2, a1, ak, per_component in self.rows:
@@ -126,30 +127,28 @@ def scale_bounds(specs: Iterable[BoundSpec]) -> ScaledBounds:
     ))
 
 
-def evaluate_scaled(g: Graph, scaled: ScaledBounds) -> tuple[int, list[tuple[int, int]]]:
-    """``nu(g)`` and ``scaled.values`` on ``g``, from one degree profile and
-    one matching.  Negative slack is a violation; it is returned, never
-    asserted.  A flat constant K is only claimed for connected graphs, so
-    a flat row on a graph with several components raises
-    ``NotConnectedError``."""
+def graph_row(g: Graph, scaled: ScaledBounds) -> tuple[int, int, int, int, int]:
+    """The facts of ``g`` that ``scaled.values`` takes, ``(n1, n2, n3, c,
+    nu(g))``, from one degree profile and one matching.  A flat constant K
+    is only claimed for connected graphs, so when ``scaled`` has a flat
+    row, a graph with several components raises ``NotConnectedError``."""
     prof = degree_profile(g)
     if prof.c > 1 and scaled.flat:
         raise NotConnectedError(
             f"a flat constant K requires a connected graph, got {prof.c} components"
         )
-    lhs = nu(g)
-    return lhs, scaled.values(prof.n1, prof.n2, prof.n3, prof.c, lhs)
+    return prof.n1, prof.n2, prof.n3, prof.c, nu(g)
 
 
 def evaluate_bounds(g: Graph, specs: Iterable[BoundSpec]) -> list[BoundReport]:
-    """Evaluate several bounds on one graph, one report per spec in order;
-    see ``evaluate_scaled``."""
+    """Evaluate several bounds on one graph, one report per spec in order,
+    from one ``graph_row``."""
     scaled = scale_bounds(specs)
-    lhs, values = evaluate_scaled(g, scaled)
-    d = scaled.denominator
+    row = graph_row(g, scaled)
+    lhs, d = row[4], scaled.denominator
     return [
         BoundReport(lhs=lhs, rhs=Fraction(rhs, d), slack=Fraction(slack, d), tight=slack == 0)
-        for rhs, slack in values
+        for rhs, slack in scaled.values(*row)
     ]
 
 

@@ -29,7 +29,7 @@ from .bounds import (
     _certified,
     _violated_member,
     bound_by_name,
-    evaluate_scaled,
+    graph_row,
     scale_bounds,
     sharp_bounds,
     valid_constant,
@@ -161,10 +161,11 @@ def _selected_bounds(args) -> list[BoundSpec]:
     return specs
 
 
-def _report_line(g6: str, bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
+def _report_tail(bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
+    """A text report line after its graph field ``graph=G6``."""
     # Int true division is correctly rounded: slack / den == float(Fraction(slack, den)).
     return (
-        f"graph={g6} bound={bound} nu={lhs} "
+        f" bound={bound} nu={lhs} "
         f"rhs={fraction_text(rhs, den)} slack={fraction_text(slack, den)} "
         f"(~{_approx(slack / den)}) tight={'yes' if slack == 0 else 'no'}"
     )
@@ -178,67 +179,73 @@ def fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def report_json(graph_json: str, bound_json: str, lhs: int, rhs: int, slack: int,
-                den: int) -> str:
+def report_json_tail(bound_json: str, lhs: int, rhs: int, slack: int, den: int) -> str:
     """The stable JSON schema for one evaluated bound, from its rhs and
-    slack over the denominator ``den``: the text of ``json.dumps`` of the
-    object with keys graph, bound, nu, rhs, slack, tight.  The graph6 text
-    and the bound name come already escaped, as ``json.dumps`` of each, so
-    a caller escapes each once however many lines repeat it; a fraction's
-    text never needs escaping."""
+    slack over the denominator ``den``, after its graph field:
+    ``'{"graph": ' + json.dumps(graph6)`` followed by this is the text of
+    ``json.dumps`` of the object with keys graph, bound, nu, rhs, slack,
+    tight.  The bound name comes already escaped, as ``json.dumps`` of it,
+    so a caller escapes it once however many lines repeat it; a
+    fraction's text never needs escaping."""
     return (
-        f'{{"graph": {graph_json}, "bound": {bound_json}, "nu": {lhs}, '
+        f', "bound": {bound_json}, "nu": {lhs}, '
         f'"rhs": "{fraction_text(rhs, den)}", "slack": "{fraction_text(slack, den)}", '
         f'"tight": {"true" if slack == 0 else "false"}}}'
     )
 
 
 def _verify_one(
-    item: Graph | bytes, *, scaled: ScaledBounds, names: list[str], as_json: bool,
-    tight_only: bool,
-) -> tuple[str, int, int] | str | ValueError:
-    """Check one corpus item, a graph or a ``--file`` line decoded here
-    (in a worker under ``--jobs``), against each scaled bound, named by
-    ``names`` (under ``as_json``, names already JSON-escaped).
+    item: Graph | bytes, *, scaled: ScaledBounds, tight_only: bool
+) -> tuple[str | None, tuple[int, int, int, int, int]] | str | ValueError:
+    """The facts of one corpus item, a graph or a ``--file`` line decoded
+    here (in a worker under ``--jobs``), from which ``cmd_verify`` writes
+    its reports: its graph6 text and its row ``(n1, n2, n3, c, nu)``
+    (``bounds.graph_row``).  The text, as read or encoded (``_decode``),
+    is None when none of the graph's reports will print: under
+    ``tight_only``, when no bound's slack is 0, so a graph is encoded only
+    when a line prints it.
 
-    Returns the output lines as one text, with the number of violated and
-    of tight bounds; or the line to print when the graph is not subcubic,
+    Otherwise returns the line to print when the graph is not subcubic,
     or is disconnected under a flat K; or the error of a malformed line,
     for the caller to raise in stream order, so that a pool task does not
-    lose the results before it.  All work is in integers over the common
-    denominator; the graph6 text, as read or encoded (``_decode``), is
-    made and escaped once per graph and only when a line is printed."""
+    lose the results before it."""
     try:
         g, line = _decode(item)
     except ValueError as exc:
         return exc
     try:
-        lhs, values = evaluate_scaled(g, scaled)
+        row = graph_row(g, scaled)
     except (NotSubcubicError, NotConnectedError) as exc:
         return f"skipped {_graph6_text(g, line)}: {exc}"
-    shown = [(name, rhs, slack) for name, (rhs, slack) in zip(names, values)
-             if slack == 0 or not tight_only]
-    text = _graph6_text(g, line) if shown else ""
-    report = _report_line
-    if as_json and shown:
-        text, report = json.dumps(text), report_json
-    den = scaled.denominator
-    lines = [report(text, name, lhs, rhs, slack, den) for name, rhs, slack in shown]
-    violations = sum(slack < 0 for _, slack in values)
-    return "\n".join(lines), violations, sum(slack == 0 for _, slack in values)
+    shown = not tight_only or any(slack == 0 for _, slack in scaled.values(*row))
+    return (_graph6_text(g, line) if shown else None), row
 
 
-# Corpus items per pool task under --jobs.  The parent's cost follows the
-# number of tasks, not the work in them: CPython 3.11's Pool wakes its
-# worker-handler thread on every result waiting in the pipe
-# (``Pool._get_sentinels`` includes ``outqueue._reader``), and each wake-up
-# checks every worker's exit code.  On 5 000 graphs of order 13-40 at
-# --jobs 2 (2 vCPUs), the parent used 0.15 s of CPU time at 64 items and
-# 0.08 s at 256 (medians of 20 runs); 128 and 512 ran slower than 256.
+# Corpus items per pool task under --jobs.  A task's results cross the pipe
+# as one message of about 70 bytes a graph (its graph6 text and row).
+# CPython 3.11's Pool wakes its worker-handler thread whenever result bytes
+# wait in the pipe (``Pool._get_sentinels`` includes ``outqueue._reader``),
+# and each wake-up checks every worker's exit code, on CPU time that the
+# workers could use.  On 5 000 graphs of order 13-40 at --jobs 2 (2 vCPUs,
+# medians of 26-42 passes at the bench's reference speed), tasks of 64,
+# 256 and 1 024 items took 0.177, 0.157 and 0.167 s; with the run pinned
+# to one CPU, 0.339, 0.306 and 0.305 s.
 POOL_CHUNK = 256
+
+# Rows whose reports cmd_verify keeps; the table is emptied when full, so
+# its size is bounded whatever the corpus.  Rows repeat: --enumerate 11
+# has 179 distinct rows among its 8 095 graphs.
+ROW_TABLE_SIZE = 4096
 
 
 def cmd_verify(args) -> int:
+    """Check the selected bounds on every graph of the corpus, in input
+    order.  ``_verify_one`` gives each graph's facts, in pool workers under
+    ``--jobs``; this process writes every report.  A report line is the
+    graph's field followed by a tail that depends on the row alone, so
+    each row's tails, with its numbers of violated and of tight bounds,
+    are made once and kept in a table of at most ``ROW_TABLE_SIZE``
+    rows."""
     specs = _selected_bounds(args)
     config = {
         "bounds": [s.name for s in specs],
@@ -246,9 +253,22 @@ def cmd_verify(args) -> int:
         "skip_invalid": args.skip_invalid,
         "jobs": args.jobs,
     }
-    names = [json.dumps(s.name) if args.json else s.name for s in specs]
-    check = partial(_verify_one, scaled=scale_bounds(specs), names=names,
-                    as_json=args.json, tight_only=args.tight_only)
+    scaled = scale_bounds(specs)
+    if args.json:
+        field, quote, report = '{"graph": ', json.dumps, report_json_tail
+    else:
+        field, quote, report = "graph=", str, _report_tail
+    names = [quote(s.name) for s in specs]
+    den = scaled.denominator
+
+    def row_reports(row: tuple[int, ...]) -> tuple[list[str], int, int]:
+        values = scaled.values(*row)
+        tails = [report(name, row[4], rhs, slack, den) for name, (rhs, slack) in zip(names, values)
+                 if slack == 0 or not args.tight_only]
+        return tails, sum(slack < 0 for _, slack in values), sum(slack == 0 for _, slack in values)
+
+    check = partial(_verify_one, scaled=scaled, tight_only=args.tight_only)
+    table: dict[tuple[int, ...], tuple[list[str], int, int]] = {}
     counted = ("graphs", "violations", "tight", "invalid")
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
@@ -260,12 +280,19 @@ def cmd_verify(args) -> int:
             results = map(check, stream)
         for result in results:
             if isinstance(result, tuple):
-                text, violations, tight = result
+                g6, row = result
+                reports = table.get(row)
+                if reports is None:
+                    if len(table) >= ROW_TABLE_SIZE:
+                        table.clear()
+                    reports = table[row] = row_reports(row)
+                tails, violations, tight = reports
                 counts["graphs"] += 1
                 counts["violations"] += violations
                 counts["tight"] += tight
-                if text:
-                    print(text)
+                if tails:
+                    first = field + quote(g6)
+                    print(first + ("\n" + first).join(tails))
             elif isinstance(result, str):
                 counts["invalid"] += 1
                 print(result, file=sys.stderr)

@@ -22,11 +22,11 @@ from matchbounds.bounds import (
     counterexample,
     evaluate_bound,
     evaluate_bounds,
-    evaluate_scaled,
+    graph_row,
     scale_bounds,
     sharp_bounds,
 )
-from matchbounds.cli import fraction_text, report_json
+from matchbounds.cli import fraction_text, report_json_tail
 from matchbounds.families import (
     FAMILY_IDS,
     FamilySpec,
@@ -348,9 +348,10 @@ def test_necessity_is_one_slack_identity(family_id):
 
 def test_report_schema():
     scaled = scale_bounds([bound_by_name("b4")])
-    lhs, [(rhs, slack)] = evaluate_scaled(TRIANGLE, scaled)
-    line = report_json(json.dumps(emit_graph6(TRIANGLE).decode()), json.dumps("b4"), lhs, rhs,
-                       slack, scaled.denominator)
+    row = graph_row(TRIANGLE, scaled)
+    [(rhs, slack)] = scaled.values(*row)
+    line = '{"graph": ' + json.dumps(emit_graph6(TRIANGLE).decode()) + report_json_tail(
+        json.dumps("b4"), row[4], rhs, slack, scaled.denominator)
     payload = {
         "graph": "Bw",
         "bound": "b4",
@@ -375,7 +376,8 @@ def test_report_schema():
 def test_report_json_is_json_dumps_of_the_schema(g6, bound, lhs, rhs, slack):
     # A graph6 line may hold a backslash (the n = 6 class Es\o does), which
     # JSON must escape.
-    line = report_json(json.dumps(g6), json.dumps(bound), lhs, rhs, slack, 144)
+    line = '{"graph": ' + json.dumps(g6) + report_json_tail(json.dumps(bound), lhs, rhs, slack,
+                                                            144)
     assert line == json.dumps({
         "graph": g6,
         "bound": bound,

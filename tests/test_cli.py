@@ -204,21 +204,74 @@ def test_verify_random_corpus(capsys):
 
 
 def test_verify_jobs_deterministic(capsys, tmp_path):
-    code1, out1, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all")
-    code2, out2, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all",
-                         "--jobs", "2")
-    assert (code1, out1) == (code2, out2)
     k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     g6 = [emit_graph6(generate(FamilySpec("G3", t))) for t in range(2, 7)]
     path = tmp_path / "corpus.g6"
-    path.write_bytes(b"\n".join([b">>graph6<<", *g6[:2], b"", emit_graph6(k5), *g6[2:]]) + b"\n")
+    path.write_bytes(b"\n".join([b">>graph6<<", *g6[:2], b"", emit_graph6(k5), *g6[2:],
+                                 TRIANGLE_G6.encode()]) + b"\n")
+    for flags in ((), ("--json",), ("--tight-only",)):
+        code1, out1, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all", *flags)
+        code2, out2, _ = run(capsys, "verify", "--enumerate", "5", "--bounds", "all",
+                             "--jobs", "2", *flags)
+        assert (code1, out1) == (code2, out2)
+        runs = []
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "verify", "--file", str(path), "--bounds", "all",
+                                 "--skip-invalid", "--jobs", jobs, *flags)
+            runs.append((code, out, json.loads(err.strip().splitlines()[-1])["counts"]))
+        assert runs[0] == runs[1]
+        code, out, counts = runs[0]
+        assert counts["graphs"] == 6 and counts["invalid"] == 1
+        shown = counts["tight"] if "--tight-only" in flags else 6 * 5
+        assert len(out.splitlines()) == shown > 0
+
+
+def _repeated_rows_file(path: Path) -> None:
+    """A file of three graphs with distinct rows, each repeated, with
+    repeats not next to each other, a skipped K5 and a tight triangle."""
+    k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    a, b, c = (emit_graph6(generate(FamilySpec("G3", t))) for t in (2, 3, 4))
+    tri = TRIANGLE_G6.encode()
+    path.write_bytes(b"\n".join([a, b, a, tri, c, b, emit_graph6(k5), a, tri, c, b]) + b"\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_writes_reports_once_per_row(capsys, monkeypatch, tmp_path, jobs):
+    # A report's text after its graph field depends on the graph's row
+    # (n1, n2, n3, c, nu) alone, so it is made once per distinct row: two
+    # fraction_text calls per bound, five bounds, three rows.
+    lines = [emit_graph6(generate(FamilySpec("G3", t))) for t in (2, 3)] + [b"Bw"]
+    path = tmp_path / "repeats.g6"
+    path.write_bytes(b"\n".join([lines[0]] * 25 + [lines[1]] + [lines[0]] * 25 + [lines[2]])
+                     + b"\n")
+    calls = _count_calls(monkeypatch, matchbounds.cli.fraction_text, matchbounds.cli)
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--bounds", "all", "--jobs", jobs)
+    assert code == 0 and len(out.splitlines()) == 5 * 52
+    assert 0 < len(calls) <= 2 * 5 * 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--tight-only",),
+                                   ("--json", "--tight-only")])
+def test_verify_row_table_bound_is_exact(capsys, monkeypatch, tmp_path, jobs, flags):
+    # A table of one row is emptied at each new row, and the run's output
+    # and counts stay those of the default table; only the report text is
+    # made again.
+    path = tmp_path / "repeats.g6"
+    _repeated_rows_file(path)
+    argv = ("verify", "--file", str(path), "--bounds", "all", "--skip-invalid",
+            "--jobs", jobs, *flags)
+    calls = _count_calls(monkeypatch, matchbounds.cli.fraction_text, matchbounds.cli)
     runs = []
-    for jobs in ("1", "2"):
-        code, out, err = run(capsys, "verify", "--file", str(path), "--bounds", "all",
-                             "--skip-invalid", "--jobs", jobs)
-        runs.append((code, out, json.loads(err.strip().splitlines()[-1])["counts"]))
-    assert runs[0] == runs[1]
-    assert runs[0][2]["graphs"] == 5 and runs[0][2]["invalid"] == 1
+    for size in (matchbounds.cli.ROW_TABLE_SIZE, 1):
+        monkeypatch.setattr(matchbounds.cli, "ROW_TABLE_SIZE", size)
+        calls.clear()
+        code, out, err = run(capsys, *argv)
+        runs.append((code, out, json.loads(err.strip().splitlines()[-1])["counts"], len(calls)))
+    (code, out, counts, made), (*small, made_small) = runs
+    assert small == [code, out, counts]
+    assert out and counts["graphs"] == 10 and counts["invalid"] == 1
+    assert made < made_small
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
