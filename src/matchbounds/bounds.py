@@ -7,10 +7,9 @@ one floor (``families.least_member``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .families import (
     FamilySpec,
@@ -34,8 +33,7 @@ class NotConnectedError(ValueError):
     """Operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """A candidate bound nu >= x3*n3 + x2*n2 + x1*n1 - K.
 
     With ``per_component`` the constant is charged once per connected
@@ -48,8 +46,7 @@ class BoundSpec:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One bound evaluated on one graph, in exact arithmetic."""
 
     lhs: int
@@ -85,8 +82,7 @@ def bound_by_name(name: str) -> BoundSpec:
     raise ValueError(f"unknown bound {name!r} (expected b1..b5)")
 
 
-@dataclass(frozen=True)
-class ScaledBounds:
+class ScaledBounds(NamedTuple):
     """Bound specs as integer forms over one common denominator.
 
     ``denominator`` is the LCM D of every coefficient's and constant's

@@ -64,9 +64,16 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
 
-def _approx(x: float) -> str:
-    """Display-only 6-place decimal rendering."""
-    return f"{x:.6f}"
+def _approx(num: int, den: int) -> str:
+    """Display-only 6-place decimal rendering of num/den, for a positive
+    ``den``: the float's, and beyond the float range the exact value's,
+    rounded half to even."""
+    try:
+        # Int true division is correctly rounded: num / den == float(Fraction(num, den)).
+        return f"{num / den:.6f}"
+    except OverflowError:
+        units, micros = divmod(round(Fraction(abs(num) * 10 ** 6, den)), 10 ** 6)
+        return f"{'-' if num < 0 else ''}{units}.{micros:06d}"
 
 
 def _triple_type(parts: list[str]) -> CoefficientTriple:
@@ -163,11 +170,10 @@ def _selected_bounds(args) -> list[BoundSpec]:
 
 def _report_tail(bound: str, lhs: int, rhs: int, slack: int, den: int) -> str:
     """A text report line after its graph field ``graph=G6``."""
-    # Int true division is correctly rounded: slack / den == float(Fraction(slack, den)).
     return (
         f" bound={bound} nu={lhs} "
         f"rhs={fraction_text(rhs, den)} slack={fraction_text(slack, den)} "
-        f"(~{_approx(slack / den)}) tight={'yes' if slack == 0 else 'no'}"
+        f"(~{_approx(slack, den)}) tight={'yes' if slack == 0 else 'no'}"
     )
 
 
@@ -317,7 +323,7 @@ def _show(args, record: dict, text: str | None = None) -> None:
 
 def cmd_polytope(args) -> int:
     if args.subcommand == "vertices":
-        vs = [str(v) for v in sorted(vertices(polyhedron_P_plus()), key=lambda v: v.as_tuple())]
+        vs = [str(v) for v in sorted(vertices(polyhedron_P_plus()))]
         _show(args, {"vertices": vs}, "\n".join(vs))
         return EXIT_OK
     x = _triple_type(args.triple)
@@ -378,7 +384,8 @@ def cmd_counterexample(args) -> int:
     _show(args, {"family": spec.family_id, "t": spec.t, "graph": g6,
                  "nu": rep.lhs, "rhs": str(rep.rhs), "slack": str(rep.slack)},
           f"family={spec.family_id} t={spec.t} n={g.n} graph6={g6} "
-          f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} (~{_approx(float(rep.slack))})")
+          f"nu={rep.lhs} rhs={rep.rhs} slack={rep.slack} "
+          f"(~{_approx(*rep.slack.as_integer_ratio())})")
     return EXIT_VIOLATIONS
 
 

@@ -93,10 +93,9 @@ as ``canonical_key`` does.  The layout holds for degree <= 3 only, so
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph, degree_profile
 
@@ -107,20 +106,31 @@ class LimitExceededError(ValueError):
     """Exhaustive enumeration is capped at 12 vertices in-library."""
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
+class _EnumerationConfig(NamedTuple):
     max_n: int
 
-    def __post_init__(self):
-        if not isinstance(self.max_n, int) or isinstance(self.max_n, bool):
-            raise ValueError(f"max_n must be an int, got {self.max_n!r}")
-        if self.max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
-        if self.max_n > _HARD_MAX_N:
+
+class EnumerationConfig(_EnumerationConfig):
+    """The sweep's largest order.  Every way of building one, ``_make`` and
+    ``_replace`` included, goes through ``__new__``, which checks it."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_n):
+        if not isinstance(max_n, int) or isinstance(max_n, bool):
+            raise ValueError(f"max_n must be an int, got {max_n!r}")
+        if max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {max_n}")
+        if max_n > _HARD_MAX_N:
             raise LimitExceededError(
-                f"max_n={self.max_n} exceeds the in-library cap of {_HARD_MAX_N}; "
+                f"max_n={max_n} exceeds the in-library cap of {_HARD_MAX_N}; "
                 "feed an external graph6 corpus for larger sweeps"
             )
+        return super().__new__(cls, max_n)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # What one neighbor of degree d adds to a packed invariant (``_invariants``).

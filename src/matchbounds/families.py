@@ -9,16 +9,14 @@ cycle-based ones, hub-then-subdivision for G5) so serialized outputs are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import DegreeProfile, Graph
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One family's facts: the admissible t = start, start + step, ...; the
     1-based position of the ``polyhedron_P`` constraint it witnesses; whether
     its closed forms are affine in 2**t (``doubling``) or in t; and closed
@@ -58,23 +56,32 @@ class InvalidParameterError(ValueError):
     """Family parameter violates its parity or range constraint."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family member: which family, and the size parameter t."""
-
+class _FamilySpec(NamedTuple):
     family_id: str
     t: int
 
-    def __post_init__(self):
-        fid, t = self.family_id, self.t
-        if fid not in FAMILY_IDS:
-            raise InvalidParameterError(f"unknown family {fid!r}")
+
+class FamilySpec(_FamilySpec):
+    """A family member: which family, and the size parameter t.  Every way
+    of building one, ``_make`` and ``_replace`` included, goes through
+    ``__new__``, which checks t."""
+
+    __slots__ = ()
+
+    def __new__(cls, family_id, t):
+        if family_id not in FAMILY_IDS:
+            raise InvalidParameterError(f"unknown family {family_id!r}")
         if not isinstance(t, int) or isinstance(t, bool):
-            raise InvalidParameterError(f"{fid} requires integer t, got {t!r}")
-        start, step = _FAMILIES[fid].start, _FAMILIES[fid].step
+            raise InvalidParameterError(f"{family_id} requires integer t, got {t!r}")
+        start, step = _FAMILIES[family_id].start, _FAMILIES[family_id].step
         if t < start or (t - start) % step:
             parity = "" if step == 1 else "odd " if start % 2 else "even "
-            raise InvalidParameterError(f"{fid} requires {parity}t >= {start}, got {t}")
+            raise InvalidParameterError(f"{family_id} requires {parity}t >= {start}, got {t}")
+        return super().__new__(cls, family_id, t)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _cubic_tree_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:

@@ -7,8 +7,7 @@ return a new graph together with an index map instead of mutating.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 
 class NotSubcubicError(ValueError):
@@ -128,8 +127,7 @@ class Graph:
         return (Graph._from_adjacency, (self._adj,))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Counts of vertices by degree plus the number of connected components."""
 
     n0: int

@@ -9,10 +9,9 @@ enumeration for its bounded nonnegative part.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class UnboundedInputError(ValueError):
@@ -38,16 +37,12 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
-class CoefficientTriple:
+class CoefficientTriple(NamedTuple):
     """Candidate bound coefficients (x3, x2, x1), one per vertex degree."""
 
     x3: Fraction
     x2: Fraction
     x1: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x3, self.x2, self.x1)
 
     def __str__(self) -> str:
         return f"{self.x3},{self.x2},{self.x1}"
@@ -58,26 +53,34 @@ def triple(x3, x2, x1) -> CoefficientTriple:
     return CoefficientTriple(Fraction(x3), Fraction(x2), Fraction(x1))
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Constraint a3*x3 + a2*x2 + a1*x1 <= b with rational data; ints,
-    strings and Fractions are accepted, as in ``triple``, and stored as
-    Fractions."""
-
+class _HalfSpace(NamedTuple):
     a3: Fraction
     a2: Fraction
     a1: Fraction
     b: Fraction
     label: str = ""
 
-    def __post_init__(self):
-        for name in ("a3", "a2", "a1", "b"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.a3 == 0 and self.a2 == 0 and self.a1 == 0:
+
+class HalfSpace(_HalfSpace):
+    """Constraint a3*x3 + a2*x2 + a1*x1 <= b with rational data; ints,
+    strings and Fractions are accepted, as in ``triple``, and stored as
+    Fractions.  Every way of building one, ``_make`` and ``_replace``
+    included, goes through ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, a3, a2, a1, b, label=""):
+        a3, a2, a1, b = Fraction(a3), Fraction(a2), Fraction(a1), Fraction(b)
+        if a3 == 0 and a2 == 0 and a1 == 0:
             raise ValueError("half-space normal must be nonzero")
+        return super().__new__(cls, a3, a2, a1, b, label)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def value(self, x: CoefficientTriple) -> Fraction:
-        return _dot(self.normal(), x.as_tuple())
+        return _dot(self.normal(), x)
 
     def holds(self, x: CoefficientTriple) -> bool:
         return self.value(x) <= self.b
@@ -90,15 +93,13 @@ class HalfSpace:
         return (self.a3, self.a2, self.a1)
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(NamedTuple):
     """Ordered list of half-spaces; violation reports cite list indices."""
 
     halfspaces: tuple[HalfSpace, ...]
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     inside: bool
     violated: tuple[int, ...]
 
@@ -176,14 +177,9 @@ def vertices(p: Polyhedron) -> frozenset[CoefficientTriple]:
     UnboundedInputError (complete for polyhedra that have a vertex).
     """
     hs = p.halfspaces
-    found: dict[tuple[Fraction, Fraction, Fraction], CoefficientTriple] = {}
-    for rows in combinations(hs, 3):
-        x = _solve3(rows)
-        if x is None:
-            continue
-        if all(h.holds(x) for h in hs):
-            found.setdefault(x.as_tuple(), x)
-    for x in found.values():
+    found = {x for x in map(_solve3, combinations(hs, 3))
+             if x is not None and all(h.holds(x) for h in hs)}
+    for x in found:
         tight = [h for h in hs if h.value(x) == h.b]
         for h1, h2 in combinations(tight, 2):
             d = _cross(h1.normal(), h2.normal())
@@ -193,7 +189,7 @@ def vertices(p: Polyhedron) -> frozenset[CoefficientTriple]:
                 raise UnboundedInputError(
                     f"feasible ray at vertex {x} along {h1.label} & {h2.label}"
                 )
-    return frozenset(found.values())
+    return frozenset(found)
 
 
 def shift_transform(x: CoefficientTriple, lam: Fraction) -> CoefficientTriple:
@@ -214,7 +210,7 @@ def project_to_Pplus(x: CoefficientTriple) -> CoefficientTriple:
     """
     if not contains(polyhedron_P(), x).inside:
         raise NotInPError(f"{x} is not in the coefficient polyhedron")
-    x3, x2, x1 = x.as_tuple()
+    x3, x2, x1 = x
     if x2 < 0:
         x2 = Fraction(0)
     if x3 < 0:

@@ -19,7 +19,7 @@ perfect matching; see ``_ge_properties``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, _components
 from .matching import _matching_array, has_perfect_matching, nu
@@ -29,8 +29,7 @@ class DecompositionMismatchError(ValueError):
     """The supplied decomposition is not the definitional one for the graph."""
 
 
-@dataclass(frozen=True)
-class GEDecomposition:
+class GEDecomposition(NamedTuple):
     """Partition (A, B, C) of the vertex set.
 
     A holds the vertices whose deletion keeps the matching number, B the
@@ -42,8 +41,7 @@ class GEDecomposition:
     C: frozenset[int]
 
 
-@dataclass(frozen=True)
-class GEPropertyReport:
+class GEPropertyReport(NamedTuple):
     a_components_hypomatchable: bool
     c_components_perfectly_matched: bool
     b_neighborhood_surplus: bool

@@ -75,7 +75,7 @@ def test_criterion_01_extreme_point_recovery(capsys):
     elapsed = time.time() - started
     lines = capsys.readouterr().out.strip().splitlines()
     printed = {tuple(F(p) for p in line.split(",")) for line in lines}
-    expected = {v.as_tuple() for v in THIRTEEN_EXTREME_POINTS}
+    expected = set(THIRTEEN_EXTREME_POINTS)
     ok = (
         got == THIRTEEN_EXTREME_POINTS
         and code == 0
@@ -265,7 +265,7 @@ def test_criterion_07_decomposition_suite(corpus_by_n):
 
 
 def _extreme_point_specs(k) -> list[BoundSpec]:
-    points = sorted(THIRTEEN_EXTREME_POINTS, key=lambda v: v.as_tuple())
+    points = sorted(THIRTEEN_EXTREME_POINTS)
     return [BoundSpec(triple=pt, k_const=F(k), per_component=False) for pt in points]
 
 
@@ -349,7 +349,7 @@ def _pieces_of_P() -> list[tuple[set[CoefficientTriple], set[tuple[Fraction, ...
 
 def _along(v: CoefficientTriple, r, t) -> CoefficientTriple:
     """The triple v + t*r."""
-    return CoefficientTriple(*(a + t * c for a, c in zip(v.as_tuple(), r)))
+    return CoefficientTriple(*(a + t * c for a, c in zip(v, r)))
 
 
 def test_valid_constant_holds_on_all_of_P(profile_rows):
@@ -366,7 +366,7 @@ def test_valid_constant_holds_on_all_of_P(profile_rows):
     for points, rays in ((upper, upper_rays), (lower, lower_rays)):
         for v in points:
             k = valid_constant(v)
-            vertex_gaps.append(max(_dot(v.as_tuple(), p) - least for p, least in rows) - k)
+            vertex_gaps.append(max(_dot(v, p) - least for p, least in rows) - k)
             for r in rays:
                 k1, k2 = (valid_constant(_along(v, r, t)) for t in (1, 2))
                 assert k2 - k1 == k1 - k, (v, r)  # affine along the ray

@@ -4,7 +4,6 @@ counterexamples."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -71,7 +70,7 @@ def test_sharp_bounds_are_frozen():
     }
     for s in specs:
         x3, x2, x1, k = table[s.name]
-        assert s.triple.as_tuple() == (x3, x2, x1)
+        assert s.triple == (x3, x2, x1)
         assert s.k_const == k
         assert s.per_component
 
@@ -226,7 +225,7 @@ def test_counterexample_profile_certificate_raises(monkeypatch):
     # the closed-form slack of G3(2) -1/9 where the graph gives -2/9.
     import matchbounds.families as families
 
-    wrong = replace(families._FAMILIES["G3"], counts=lambda t: (t + 1, t - 1, t))
+    wrong = families._FAMILIES["G3"]._replace(counts=lambda t: (t + 1, t - 1, t))
     monkeypatch.setitem(families._FAMILIES, "G3", wrong)
     with pytest.raises(RuntimeError, match="closed-form slack -1/9 disagrees with -2/9"):
         counterexample(triple("1/3", "4/9", "1/3"), F(0))

@@ -9,11 +9,14 @@ import pickle
 import re
 import sys
 import types
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
-import matchbounds
+import pytest
 
+import matchbounds
+from matchbounds.bounds import scale_bounds
 from matchbounds.cli import main as cli_main
 from matchbounds.graphs import MalformedGraph6Error
 
@@ -140,6 +143,72 @@ def test_package_exceptions_survive_pickling():
         assert getattr(back, "offset", None) == getattr(exc, "offset", None)
 
 
+_G3 = matchbounds.generate(matchbounds.FamilySpec("G3", 2))
+_G3_PARTITION = matchbounds.gallai_edmonds(_G3)
+
+# A sample of every exported record, and of ``ScaledBounds``, which
+# crosses the ``verify --jobs`` pipe inside a ``functools.partial``; with a
+# field value that the record's ``__new__`` refuses, if it checks one.
+_RECORDS = [
+    (matchbounds.evaluate_bound(_G3, matchbounds.sharp_bounds()[0]), None),
+    (matchbounds.sharp_bounds()[0], None),
+    (matchbounds.triple("1/3", "4/9", "1/3"), None),
+    (matchbounds.degree_profile(_G3), None),
+    (matchbounds.EnumerationConfig(4), {"max_n": 13}),
+    (matchbounds.FamilySpec("G3", 2), {"t": 1}),
+    (_G3_PARTITION, None),
+    (matchbounds.verify_ge_properties(_G3, _G3_PARTITION), None),
+    (matchbounds.HalfSpace(1, 0, 0, "4/9", "x3<=4/9"), {"a3": 0}),
+    (matchbounds.contains(matchbounds.polyhedron_P(), matchbounds.triple(1, 0, 0)), None),
+    (matchbounds.polyhedron_P(), None),
+    (scale_bounds(matchbounds.sharp_bounds()), None),
+]
+_WAYS = ("positional", "keyword", "_make", "_replace", "pickle")
+
+
+def _built(record, way: str, **fields):
+    """``record`` with ``fields`` changed, built the way ``way`` names; under
+    ``pickle``, a tuple forged past ``__new__`` is checked as it loads."""
+    cls = type(record)
+    values = {**record._asdict(), **fields}
+    if way == "positional":
+        return cls(*values.values())
+    if way == "keyword":
+        return cls(**values)
+    if way == "_make":
+        return cls._make(values.values())
+    if way == "_replace":
+        return record._replace(**fields)
+    return pickle.loads(pickle.dumps(tuple.__new__(cls, values.values())))
+
+
+@pytest.mark.parametrize("record, bad", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_keep_the_guarantees_of_frozen_dataclasses(record, bad):
+    # The records are named tuples.  Each is immutable, hashable and
+    # picklable, and one whose __new__ checks its fields is checked
+    # however it is built.
+    cls = type(record)
+    exported = {value for value in vars(matchbounds).values()
+                if isinstance(value, type) and issubclass(value, tuple)}
+    assert exported <= {type(r) for r, _ in _RECORDS}
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert hash(record) == hash(tuple(record))
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is cls and back == record
+    if bad is None:
+        return
+    for way in _WAYS:
+        with pytest.raises(ValueError):
+            _built(record, way, **bad)
+    if cls is matchbounds.HalfSpace:  # its data is stored as Fractions
+        for way in _WAYS:
+            h = _built(record, way, a3=2, a2=0, a1=1, b=3)
+            assert [type(c) for c in h[:4]] == [Fraction] * 4, way
+
+
 README_LIBRARY_OUTPUT = """\
 b1 BoundReport(lhs=1, rhs=Fraction(1, 1), slack=Fraction(0, 1), tight=True)
 b2 BoundReport(lhs=1, rhs=Fraction(1, 1), slack=Fraction(0, 1), tight=True)
@@ -208,6 +277,9 @@ UNREACHED = {
                         "graphs.Graph.__repr__"},
     "pool pickling": {"graphs.Graph.__reduce__"},
     "console script": {"cli.entry"},
+    "checked _make, which only _replace calls": {
+        "enumeration.EnumerationConfig._make", "families.FamilySpec._make",
+        "polytope.HalfSpace._make"},
 }
 
 # One invocation of each command, text and JSON, with usage and parse
