@@ -58,7 +58,7 @@ class _HalfSpace(NamedTuple):
     a2: Fraction
     a1: Fraction
     b: Fraction
-    label: str = ""
+    label: str
 
 
 class HalfSpace(_HalfSpace):
