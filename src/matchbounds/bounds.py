@@ -19,7 +19,7 @@ from .families import (
     generate,
     least_member,
 )
-from .graphs import Graph, degree_profile
+from .graphs import DegreeProfile, Graph, degree_profile
 from .matching import nu
 from .polytope import CoefficientTriple, NotInPError, contains, polyhedron_P
 
@@ -184,20 +184,30 @@ def _violated_member(triple: CoefficientTriple, k: Fraction) -> FamilySpec:
                         lambda member: closed_form_slack(member, triple, k))
 
 
+def _certified_member(spec: FamilySpec) -> tuple[Graph, DegreeProfile, int]:
+    """The member built, with its degree profile and matching number, which
+    must be the closed forms'."""
+    g = generate(spec)
+    prof, lhs = degree_profile(g), nu(g)
+    if lhs != closed_nu(spec):
+        raise RuntimeError(f"closed-form matching number {closed_nu(spec)} disagrees with "
+                           f"matcher's {lhs} on {spec}")
+    if prof != closed_profile(spec):
+        raise RuntimeError(f"closed-form profile {closed_profile(spec)} disagrees with "
+                           f"{prof} on {spec}")
+    return g, prof, lhs
+
+
 def _certified(spec: FamilySpec, triple: CoefficientTriple,
                k: Fraction) -> tuple[Graph, BoundReport]:
-    """The member built, and the flat bound evaluated on it, which must give
-    the closed-form nu and slack, and a negative slack."""
-    g = generate(spec)
-    rep = evaluate_bound(g, BoundSpec(triple, k, per_component=False))
-    if rep.lhs != closed_nu(spec):
-        raise RuntimeError("closed-form matching number disagrees with matcher")
-    closed = closed_form_slack(spec, triple, k)
-    if rep.slack != closed:
-        raise RuntimeError(f"closed-form slack {closed} disagrees with {rep.slack} on {spec}")
-    if rep.slack >= 0:
-        raise RuntimeError(f"certificate {spec} has slack {rep.slack}, not negative")
-    return g, rep
+    """The member built and certified (``_certified_member``), and the flat
+    bound's report on it: a certified member's slack is the closed-form
+    one, which must be negative."""
+    g, _, lhs = _certified_member(spec)
+    slack = closed_form_slack(spec, triple, k)
+    if slack >= 0:
+        raise RuntimeError(f"certificate {spec} has slack {slack}, not negative")
+    return g, BoundReport(lhs=lhs, rhs=lhs - slack, slack=slack, tight=False)
 
 
 def counterexample(

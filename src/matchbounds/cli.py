@@ -17,7 +17,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterator
 
@@ -27,6 +27,7 @@ from .bounds import (
     ScaledBounds,
     TripleInPError,
     _certified,
+    _certified_member,
     _violated_member,
     bound_by_name,
     graph_row,
@@ -41,12 +42,10 @@ from .graphs import (
     Graph,
     NotSubcubicError,
     check_graph6_order,
-    degree_profile,
     emit_graph6,
     iter_graph6_lines,
     read_graph6_line,
 )
-from .matching import nu
 from .polytope import (
     CoefficientTriple,
     contains,
@@ -74,11 +73,6 @@ def _approx(num: int, den: int) -> str:
     except OverflowError:
         units, micros = divmod(round(Fraction(abs(num) * 10 ** 6, den)), 10 ** 6)
         return f"{'-' if num < 0 else ''}{units}.{micros:06d}"
-
-
-def _triple_type(parts: list[str]) -> CoefficientTriple:
-    x3, x2, x1 = (parse_fraction(p) for p in parts)
-    return CoefficientTriple(x3, x2, x1)
 
 
 def _int_in(low: int, high: int | None = None, hint: str = "") -> Callable[[str], int]:
@@ -163,7 +157,7 @@ def _selected_bounds(args) -> list[BoundSpec]:
     else:
         specs = [bound_by_name(name.strip()) for name in args.bounds.split(",")]
     if args.triple:
-        specs.append(BoundSpec(triple=_triple_type(args.triple), k_const=args.k,
+        specs.append(BoundSpec(triple=args.triple, k_const=args.k,
                                per_component=False, name="custom"))
     return specs
 
@@ -238,9 +232,9 @@ def _verify_one(
 # to one CPU, 0.339, 0.306 and 0.305 s.
 POOL_CHUNK = 256
 
-# Rows whose reports cmd_verify keeps; the table is emptied when full, so
-# its size is bounded whatever the corpus.  Rows repeat: --enumerate 11
-# has 179 distinct rows among its 8 095 graphs.
+# Rows whose reports cmd_verify keeps, in a least-recently-used cache, so
+# the table's size is bounded whatever the corpus.  Rows repeat:
+# --enumerate 11 has 179 distinct rows among its 8 095 graphs.
 ROW_TABLE_SIZE = 4096
 
 
@@ -250,7 +244,7 @@ def cmd_verify(args) -> int:
     ``--jobs``; this process writes every report.  A report line is the
     graph's field followed by a tail that depends on the row alone, so
     each row's tails, with its numbers of violated and of tight bounds,
-    are made once and kept in a table of at most ``ROW_TABLE_SIZE``
+    are made once and kept in an LRU cache of at most ``ROW_TABLE_SIZE``
     rows."""
     specs = _selected_bounds(args)
     config = {
@@ -267,6 +261,7 @@ def cmd_verify(args) -> int:
     names = [quote(s.name) for s in specs]
     den = scaled.denominator
 
+    @lru_cache(maxsize=ROW_TABLE_SIZE)
     def row_reports(row: tuple[int, ...]) -> tuple[list[str], int, int]:
         values = scaled.values(*row)
         tails = [report(name, row[4], rhs, slack, den) for name, (rhs, slack) in zip(names, values)
@@ -274,7 +269,6 @@ def cmd_verify(args) -> int:
         return tails, sum(slack < 0 for _, slack in values), sum(slack == 0 for _, slack in values)
 
     check = partial(_verify_one, scaled=scaled, tight_only=args.tight_only)
-    table: dict[tuple[int, ...], tuple[list[str], int, int]] = {}
     counted = ("graphs", "violations", "tight", "invalid")
     with _sweep(args, "verify", config, counted) as (stream, counts), ExitStack() as stack:
         if args.jobs > 1:
@@ -287,12 +281,7 @@ def cmd_verify(args) -> int:
         for result in results:
             if isinstance(result, tuple):
                 g6, row = result
-                reports = table.get(row)
-                if reports is None:
-                    if len(table) >= ROW_TABLE_SIZE:
-                        table.clear()
-                    reports = table[row] = row_reports(row)
-                tails, violations, tight = reports
+                tails, violations, tight = row_reports(row)
                 counts["graphs"] += 1
                 counts["violations"] += violations
                 counts["tight"] += tight
@@ -326,7 +315,7 @@ def cmd_polytope(args) -> int:
         vs = [str(v) for v in sorted(vertices(polyhedron_P_plus()))]
         _show(args, {"vertices": vs}, "\n".join(vs))
         return EXIT_OK
-    x = _triple_type(args.triple)
+    x = args.triple
     p = polyhedron_P()
     if args.subcommand == "contains":
         verdict = contains(p, x)
@@ -353,11 +342,10 @@ def cmd_polytope(args) -> int:
 def cmd_family(args) -> int:
     spec = FamilySpec(args.family, args.t)
     if args.stats:
-        g = generate(spec)
-        prof = degree_profile(g)
+        g, prof, lhs = _certified_member(spec)
         stats = {"family": spec.family_id, "t": spec.t, "n": g.n,
                  "n1": prof.n1, "n2": prof.n2, "n3": prof.n3,
-                 "nu_closed": closed_nu(spec), "nu_certified": nu(g)}
+                 "nu_closed": closed_nu(spec), "nu_certified": lhs}
         _show(args, {**stats, "nu_status": "certified"}, _pairs(stats) + " (certified)")
         return EXIT_OK
     check_graph6_order(buildable_order(spec))
@@ -367,7 +355,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    x, k = _triple_type(args.triple), args.k
+    x, k = args.triple, args.k
     try:
         spec = _violated_member(x, k)
     except TripleInPError:
@@ -513,13 +501,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Every number is read from ``argv`` under Python's
+    limit on the digits of an int converted from text (4 300 by default);
+    a command then prints every number it derives from them in full."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         _qualify(parser, args)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    digits = sys.get_int_max_str_digits()
     try:
+        if getattr(args, "triple", None):
+            args.triple = CoefficientTriple(*map(parse_fraction, args.triple))
+        sys.set_int_max_str_digits(0)
         code = args.run(args)
         sys.stdout.flush()  # meet a closed stdout here, not at exit
         return code
@@ -531,6 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyboardInterrupt:
         return 130
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

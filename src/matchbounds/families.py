@@ -1,10 +1,12 @@
 """The six extremal families G1(t)..G6(t).
 
 One table, ``_FAMILIES``, states each family's admissible t, the
-constraint it witnesses and its closed forms; ``least_member`` finds a
-family's least member with negative slack.  Vertex numbering is frozen
-per family (root-first BFS for the trees, cycle-then-pendants for the
-cycle-based ones, hub-then-subdivision for G5) so serialized outputs are stable.
+constraint it witnesses, its closed forms and its member's edges, from
+which ``generate`` builds it; ``least_member`` finds a family's least
+member with negative slack.  Vertex numbering is frozen per family
+(root-first BFS for the trees, cycle-then-pendants for the cycle-based
+ones, K4 blocks after their hooks, hub-then-subdivision for G5) so
+serialized outputs are stable.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .graphs import DegreeProfile, Graph
 class _Family(NamedTuple):
     """One family's facts: the admissible t = start, start + step, ...; the
     1-based position of the ``polyhedron_P`` constraint it witnesses; whether
-    its closed forms are affine in 2**t (``doubling``) or in t; and closed
-    forms in t for its degree counts (n1, n2, n3) and matching number."""
+    its closed forms are affine in 2**t (``doubling``) or in t; closed forms
+    in t for its degree counts (n1, n2, n3) and matching number; and its
+    member's edge list, on the vertices 0..n1+n2+n3-1."""
 
     start: int
     step: int
@@ -28,21 +31,70 @@ class _Family(NamedTuple):
     doubling: bool
     counts: Callable[[int], tuple[int, int, int]]
     nu: Callable[[int], int]
+    edges: Callable[[int], list[tuple[int, int]]]
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    """The cycle 0..n-1."""
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _cubic_tree_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Rooted tree, BFS numbering: root 0, then levels of 3*2^i vertices;
+    every non-leaf vertex has degree 3.  Returns (edges, leaves), the
+    leaves being the last vertices."""
+    edges: list[tuple[int, int]] = []
+    leaves = [0]
+    for width in (3, *[2] * t):
+        parents = [p for p in leaves for _ in range(width)]
+        leaves = list(range(leaves[-1] + 1, leaves[-1] + 1 + len(parents)))
+        edges += zip(parents, leaves)
+    return edges, leaves
+
+
+def _pendant_cycle_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Cycle 0..2t-1 plus a pendant vertex 2t+i on every even cycle vertex
+    2i.  Returns (edges, pendants); the pendants are the last vertices."""
+    pendants = [2 * t + i for i in range(t)]
+    return _cycle_edges(2 * t) + [(2 * i, p) for i, p in enumerate(pendants)], pendants
+
+
+def _graft_subdivided_k4(edges: list[tuple[int, int]],
+                         hooks: list[int]) -> list[tuple[int, int]]:
+    """``edges`` plus, on each hook, a K4 with one edge subdivided, its
+    degree-2 vertex identified with the hook.  The blocks take four vertices
+    each, numbered on from the last hook, which is the last vertex built."""
+    base = hooks[-1] + 1
+    for i, hook in enumerate(hooks):
+        a, b, c, d = range(base + 4 * i, base + 4 * i + 4)
+        edges += [(hook, a), (hook, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+    return edges
+
+
+def _subdivided_hub_edges(t: int) -> list[tuple[int, int]]:
+    """The cycle 0..t-1 and its t/2 long diagonals, every edge subdivided:
+    the j-th edge (u, v), u < v, in sorted order by the vertex t + j."""
+    hub = sorted(tuple(sorted(e))
+                 for e in _cycle_edges(t) + [(i, i + t // 2) for i in range(t // 2)])
+    return [e for j, (u, v) in enumerate(hub, t) for e in ((u, j), (j, v))]
 
 
 _FAMILIES = {
     "G1": _Family(1, 2, 3, True,  # x3 + x1 <= 2/3
-                  lambda t: (3 * 2 ** t, 0, 3 * 2 ** t - 2), lambda t: 2 ** (t + 1) - 1),
+                  lambda t: (3 * 2 ** t, 0, 3 * 2 ** t - 2), lambda t: 2 ** (t + 1) - 1,
+                  lambda t: _cubic_tree_edges(t)[0]),
     "G2": _Family(1, 2, 1, True,  # x3 <= 4/9
-                  lambda t: (0, 0, 9 * 2 ** (t + 1) - 2), lambda t: 2 ** (t + 3) - 1),
+                  lambda t: (0, 0, 9 * 2 ** (t + 1) - 2), lambda t: 2 ** (t + 3) - 1,
+                  lambda t: _graft_subdivided_k4(*_cubic_tree_edges(t))),
     "G3": _Family(2, 1, 5, False,  # x3 + x2 + x1 <= 1
-                  lambda t: (t, t, t), lambda t: t),
+                  lambda t: (t, t, t), lambda t: t, lambda t: _pendant_cycle_edges(t)[0]),
     "G4": _Family(2, 1, 6, False,  # x3 + x2/6 <= 1/2
-                  lambda t: (0, t, 6 * t), lambda t: 3 * t),
+                  lambda t: (0, t, 6 * t), lambda t: 3 * t,
+                  lambda t: _graft_subdivided_k4(*_pendant_cycle_edges(t))),
     "G5": _Family(4, 2, 4, False,  # x3 + 3x2/2 <= 1
-                  lambda t: (0, 3 * t // 2, t), lambda t: t),
+                  lambda t: (0, 3 * t // 2, t), lambda t: t, _subdivided_hub_edges),
     "G6": _Family(3, 2, 2, False,  # x2 <= 1/2
-                  lambda t: (0, t, 0), lambda t: (t - 1) // 2),
+                  lambda t: (0, t, 0), lambda t: (t - 1) // 2, _cycle_edges),
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
@@ -84,45 +136,6 @@ class FamilySpec(_FamilySpec):
         return cls(*iterable)
 
 
-def _cubic_tree_edges(t: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """Rooted tree, BFS numbering: root 0, then levels of 3*2^i vertices.
-
-    All non-leaf vertices have degree 3.  Returns (edges, leaves).
-    """
-    edges: list[tuple[int, int]] = []
-    level = [0]
-    next_id = 1
-    for depth in range(t + 1):
-        width = 3 if depth == 0 else 2
-        new_level = []
-        for parent in level:
-            for _ in range(width):
-                edges.append((parent, next_id))
-                new_level.append(next_id)
-                next_id += 1
-        level = new_level
-    return edges, level
-
-
-def _graft_subdivided_k4(edges: list[tuple[int, int]], hook: int, base: int) -> int:
-    """Attach a K4-with-one-subdivided-edge block, identifying its unique
-    degree-2 vertex with ``hook``.  New vertices are base..base+3; returns
-    the next free index."""
-    a, b, c, d = base, base + 1, base + 2, base + 3
-    edges.extend([
-        (hook, a), (hook, b),
-        (a, c), (a, d), (b, c), (b, d), (c, d),
-    ])
-    return base + 4
-
-
-def _pendant_cycle_edges(t: int) -> list[tuple[int, int]]:
-    """Cycle 0..2t-1 plus a pendant vertex 2t+i on every even cycle vertex."""
-    edges = [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
-    edges.extend((2 * i, 2 * t + i) for i in range(t))
-    return edges
-
-
 def buildable_order(spec: FamilySpec) -> int:
     """The member's order by closed form; a member with more than
     ``MAX_GENERATED_ORDER`` vertices is refused."""
@@ -137,39 +150,10 @@ def buildable_order(spec: FamilySpec) -> int:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the family member as a concrete graph; one with more than
-    ``MAX_GENERATED_ORDER`` vertices is refused before anything is built."""
-    buildable_order(spec)
-    t = spec.t
-    fid = spec.family_id
-    if fid == "G1":
-        edges, _ = _cubic_tree_edges(t)
-        return Graph(3 * 2 ** (t + 1) - 2, edges)
-    if fid == "G2":
-        edges, leaves = _cubic_tree_edges(t)
-        base = 3 * 2 ** (t + 1) - 2
-        for leaf in leaves:
-            base = _graft_subdivided_k4(edges, leaf, base)
-        return Graph(base, edges)
-    if fid == "G3":
-        return Graph(3 * t, _pendant_cycle_edges(t))
-    if fid == "G4":
-        edges = _pendant_cycle_edges(t)
-        base = 3 * t
-        for i in range(t):
-            base = _graft_subdivided_k4(edges, 2 * t + i, base)
-        return Graph(base, edges)
-    if fid == "G5":
-        hub_edges = [(i, (i + 1) % t) for i in range(t)]
-        hub_edges.extend((i, i + t // 2) for i in range(t // 2))
-        hub_edges = sorted(tuple(sorted(e)) for e in hub_edges)
-        edges = []
-        for j, (u, v) in enumerate(hub_edges):
-            edges.append((u, t + j))
-            edges.append((t + j, v))
-        return Graph(t + 3 * t // 2, edges)
-    # G6: plain odd cycle.
-    return Graph(t, [(i, (i + 1) % t) for i in range(t)])
+    """Build the family member from its ``_FAMILIES`` row on its closed-form
+    order; one with more than ``MAX_GENERATED_ORDER`` vertices is refused
+    before anything is built."""
+    return Graph(buildable_order(spec), _FAMILIES[spec.family_id].edges(spec.t))
 
 
 def closed_profile(spec: FamilySpec) -> DegreeProfile:

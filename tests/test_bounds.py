@@ -4,6 +4,7 @@ counterexamples."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,14 +221,17 @@ def test_counterexample_nu_certificate_raises(monkeypatch):
 
 
 def test_counterexample_profile_certificate_raises(monkeypatch):
-    # The rhs and slack come from the built graph's degrees: a wrong
-    # closed form for G3's degree counts (n1 = t + 1, n2 = t - 1) makes
-    # the closed-form slack of G3(2) -1/9 where the graph gives -2/9.
+    # The built graph's degree profile is checked against the closed form:
+    # a wrong closed form for G3's degree counts (n1 = t + 1, n2 = t - 1),
+    # which would make the closed-form slack of G3(2) -1/9 where the graph
+    # gives -2/9, is refused before any slack is reported.
     import matchbounds.families as families
 
     wrong = families._FAMILIES["G3"]._replace(counts=lambda t: (t + 1, t - 1, t))
     monkeypatch.setitem(families._FAMILIES, "G3", wrong)
-    with pytest.raises(RuntimeError, match="closed-form slack -1/9 disagrees with -2/9"):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "closed-form profile DegreeProfile(n0=0, n1=3, n2=1, n3=2, c=1) disagrees with "
+            "DegreeProfile(n0=0, n1=2, n2=2, n3=2, c=1) on FamilySpec(family_id='G3', t=2)")):
         counterexample(triple("1/3", "4/9", "1/3"), F(0))
 
 

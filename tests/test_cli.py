@@ -757,6 +757,65 @@ def test_family_stats_certifies_large_members(capsys):
     assert (stats["n"], stats["nu_certified"], stats["nu_status"]) == (99, 33, "certified")
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param({"nu": lambda t: t + 1}, id="nu"),
+    pytest.param({"counts": lambda t: (t + 1, t - 1, t)}, id="counts"),
+    pytest.param({"nu": lambda t: t + 1, "counts": lambda t: (t + 1, t - 1, t)}, id="both"),
+])
+def test_family_stats_checks_the_closed_forms(capsys, monkeypatch, row):
+    # "(certified)" means that the member built has the closed-form degree
+    # profile and nu; a wrong closed form raises, as for a counterexample.
+    import matchbounds.families as families
+
+    monkeypatch.setitem(families._FAMILIES, "G3", families._FAMILIES["G3"]._replace(**row))
+    message = "disagrees with matcher's 5" if "nu" in row else re.escape(
+        "closed-form profile DegreeProfile(n0=0, n1=6, n2=4, n3=5, c=1) disagrees with "
+        "DegreeProfile(n0=0, n1=5, n2=5, n3=5, c=1) on FamilySpec(family_id='G3', t=5)")
+    for flags in ((), ("--json",)):
+        with pytest.raises(RuntimeError, match=message):
+            main(["family", "G3", "5", "--stats", *flags])
+        assert capsys.readouterr().out == ""
+
+
+_NINES = 10 ** 4300 - 1  # the most digits an int read from text may have
+
+
+def _text(n: int) -> str:
+    """``str(n)`` for a natural n of any length, 4 000 digits at a time."""
+    head, tail = divmod(n, 10 ** 4000)
+    return f"{_text(head)}{tail:04000d}" if head else str(tail)
+
+
+def test_numbers_past_the_str_limit_print_in_full(capsys, tmp_path):
+    # Every number is read under Python's 4 300-digit limit on int
+    # conversion, and a number derived from them prints in full, however
+    # long; the limit is the default again after each run.
+    k, limit = _NINES, sys.get_int_max_str_digits()
+    manifest = tmp_path / "manifest.json"
+    code, out, _ = run(capsys, "verify", "--enumerate", "2", "--triple", "0", "0", "0",
+                       "--k", f"{k}/7", "--manifest", str(manifest))
+    first, second = out.splitlines()
+    assert code == 0 and not json.loads(manifest.read_text())["partial"]
+    assert first.startswith(f"graph=@ bound=custom nu=0 rhs=-{k}/7 slack={k}/7 (~{k // 7}.")
+    assert second.startswith(f"graph=A_ bound=custom nu=1 rhs=-{k}/7 slack={_text(k + 7)}/7 (~")
+    code, out, _ = run(capsys, "polytope", "contains", f"-{k}", "0", "0")
+    assert (code, out) == (0, f"inside (valid constant K={_text(2 * k + 1)})\n")
+    code, out, _ = run(capsys, "polytope", "shift", f"-{k}", "0", "0", "--lambda", str(k))
+    assert (code, out) == (0, f"-{_text(2 * k)},0,{k} in P: yes\n")
+    code, out, _ = run(capsys, "counterexample", "--triple", "1", "0", "0", f"--k=-{k}/7")
+    assert code == 1 and out.startswith("family=G2 t=1 n=34 graph6=")
+    assert (f" nu=15 rhs={_text(k + 238)}/7 slack=-{_text(k + 133)}/7 "
+            f"(~-{(k + 133) // 7}.") in out
+    assert sys.get_int_max_str_digits() == limit
+    # One digit more is refused where it is read: in a triple or a flag.
+    code, out, err = run(capsys, "polytope", "contains", _text(10 * k + 9), "0", "0")
+    assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit (4300 digits)")
+    code, out, err = run(capsys, "counterexample", "--triple", "1", "0", "0",
+                         f"--k={_text(10 * k)}")
+    assert (code, out) == (2, "") and "argument --k: invalid parse_fraction value" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_counterexample_command(capsys):
     code, out, _ = run(capsys, "counterexample", "--triple", "1/3", "4/9", "1/3",
                        "--k", "0/1")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from collections import deque
 from itertools import islice
@@ -18,7 +19,7 @@ from matchbounds.families import (
     family_for_halfspace,
     generate,
 )
-from matchbounds.graphs import Graph, degree_profile
+from matchbounds.graphs import Graph, degree_profile, emit_graph6
 from matchbounds.matching import nu
 
 from .conftest import family_members
@@ -75,15 +76,40 @@ def test_closed_nu_examples():
 
 
 def test_closed_forms_match_generated_graphs():
+    # ``generate`` builds on the closed-form order, so a wrong total gives
+    # an edge out of range or an isolated vertex (n0 > 0), and a wrong
+    # split of it a degree mismatch.
     for fid in FAMILY_IDS:
         for spec in family_members(fid):
             if closed_profile(spec).order > 400:
                 break
             g = generate(spec)
-            assert g.n == closed_profile(spec).order
             assert degree_profile(g) == closed_profile(spec), spec  # c = 1: connected
             if g.n <= 60:
                 assert nu(g) == closed_nu(spec), spec
+
+
+# SHA-256 of the graph6 lines, each ending in a newline, of every member
+# of order at most 400, in ascending t: each family's vertex numbering is
+# frozen, so every line stays the same.
+_GRAPH6_UP_TO_400 = {
+    "G1": "d08b6c271dd6dc8c879abcd4547c3cf5e2b15be90121d01b2a30db05be2b973b",
+    "G2": "670b3b1b4cc8bdaa87b4e30b5fc953166bc77adf30c9e6f4f1605c28098875df",
+    "G3": "52cf5c8f91925bc4e73448fd3426c499bbd82bb88974882ec804e169cacfa7b5",
+    "G4": "4b7529f765cd5a59e866fb0f482a417a898ed57a46954b777e48ba10fe254c3e",
+    "G5": "6a7aedbfac10be253df362fe6525660315316ac763b4f0bda83e2c68e16edf4c",
+    "G6": "9d96e5e1693f4f093e5f7db8ce2e1ca5b33b166a6e776ace11f941900b2a6194",
+}
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_member_numbering_is_frozen(fid):
+    lines = []
+    for spec in family_members(fid):
+        if closed_profile(spec).order > 400:
+            break
+        lines.append(emit_graph6(generate(spec)) + b"\n")
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == _GRAPH6_UP_TO_400[fid]
 
 
 def test_internally_cubic_tree_families_are_bipartite():
