@@ -75,7 +75,10 @@ Per-parent state.  The enumerator holds every graph in one form, the
 adjacency tuple that ``Graph._adj`` stores: per vertex, its neighbors as
 a sorted tuple.  Levels hold (adjacency, generators) pairs sorted by
 key, a parent's neighbor lists are its adjacency as it stands, and each
-kept class is yielded as a ``Graph`` with no conversion.  A parent's
+kept class is yielded as a ``Graph`` with no conversion.  One table per
+sweep interns the neighbor tuples of every kept class (``_relabelled``),
+so a level holds pointers to shared rows, not copies: level 11's 60 764
+rows hold 227 distinct values, and n <= 12 has 296 in all.  A parent's
 packed invariants are computed once.  A child differs from its parent
 only at x, at the k vertices it joins and at their neighbors, so its
 lists and invariants are copies of the parent's, patched there.  A
@@ -84,10 +87,15 @@ neighbors u, with W = (0, 1, 4, 16) (``_invariants``).  Joining v of
 parent degree d adds ``(1 << 6) + W[k]`` to v and ``W[d + 1] - W[d]`` to
 each parent neighbor of v; x gets ``(k << 6) + sum(W[d + 1])`` over the
 joined v.  The packed int is the vertex's class, and the ints order like
-the (degree, sorted neighbor degrees) tuples, so the generation key,
-(invariants sorted descending, code), sorts and splits a level exactly
-as ``canonical_key`` does.  The layout holds for degree <= 3 only, so
-``canonical_key`` and ``canonical_form`` reject other graphs.
+the (degree, sorted neighbor degrees) tuples.  The generation key is
+flat: the invariants sorted descending as ``bytes`` (each is at most
+240), then the code as one int, chunk after chunk in n-bit fields, the
+first chunk most significant (a chunk is below 2^(n-1)).  Every key on
+a level has n invariants and n chunks, so the bytes compare like the
+tuples of invariants and the int like the tuple of chunks: the key
+sorts and splits a level exactly as ``canonical_key`` does.  The layout
+holds for degree <= 3 only, so ``canonical_key`` and ``canonical_form``
+reject other graphs.
 """
 
 from __future__ import annotations
@@ -263,17 +271,19 @@ def canonical_form(g: Graph) -> Graph:
     class; a vertex of degree > 3 raises ``NotSubcubicError``, as in
     ``degree_profile``."""
     order, _, _ = _canonical_order(g._adj, _subcubic_invariants(g))
-    return Graph._from_adjacency(_relabelled(g._adj, order))
+    return Graph._from_adjacency(_relabelled(g._adj, order, {}))
 
 
-def _relabelled(nbrs, order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _relabelled(nbrs, order: tuple[int, ...], rows: dict) -> tuple[tuple[int, ...], ...]:
     """The adjacency tuple, with sorted neighbor tuples as ``Graph._adj``
     holds them, of the graph with neighbor lists ``nbrs`` and ``order[i]``
-    renamed to i."""
+    renamed to i.  Each neighbor tuple is the one ``rows`` holds for its
+    value, added there when new, so equal rows share one object."""
     position = [0] * len(order)
     for pos, v in enumerate(order):
         position[v] = pos
-    return tuple([tuple(sorted([position[u] for u in nbrs[v]])) for v in order])
+    adj = [tuple(sorted([position[u] for u in nbrs[v]])) for v in order]
+    return tuple(map(rows.setdefault, adj, adj))
 
 
 def _removable(nbrs, v: int) -> bool:
@@ -327,10 +337,12 @@ def _canonical_child(nbrs, inv: list[int], keep_gens: bool):
     smallest invariant (the latest class) and then the smallest sum of
     neighbor invariants, the one that comes last in the canonical order.
     A removable vertex below x on either count rejects the child before
-    any search.  The key is (invariants sorted descending, code): within
-    a level it sorts and splits like ``canonical_key``.  The orbits come
-    from every merge of the search; the generators are the merges that
-    joined two orbits (``_orbits``) with ``keep_gens``, else ().
+    any search.  The key is (invariants sorted descending, as bytes;
+    code, as one int of n-bit chunks, first chunk most significant):
+    within a level it sorts and splits like ``canonical_key`` (module
+    docstring).  The orbits come from every merge of the search; the
+    generators are the merges that joined two orbits (``_orbits``) with
+    ``keep_gens``, else ().
     """
     x = len(nbrs) - 1
     ix = inv[x]
@@ -349,7 +361,10 @@ def _canonical_child(nbrs, inv: list[int], keep_gens: bool):
         root, joining = _orbits(x + 1, merges)
         if tied and root[max(tied + [x], key=order.index)] != root[x]:
             return None
-    return (tuple(sorted(inv, reverse=True)), code), order, joining if keep_gens else ()
+    packed, n = 0, x + 1
+    for chunk in code:
+        packed = packed << n | chunk
+    return (bytes(sorted(inv, reverse=True)), packed), order, joining if keep_gens else ()
 
 
 def _children(parent) -> Iterator[tuple[int, ...]]:
@@ -383,10 +398,11 @@ def _relabelled_maps(order: tuple[int, ...], maps) -> tuple[bytes, ...]:
     return tuple(images)
 
 
-def _kept_children(parent, gens, keep_gens: bool) -> dict:
+def _kept_children(parent, gens, keep_gens: bool, rows: dict) -> dict:
     """(canonical adjacency tuple, generators) of the kept children of one
     parent with automorphisms ``gens``, by key; generators only with
-    ``keep_gens``.
+    ``keep_gens``.  Neighbor tuples are shared through ``rows``
+    (``_relabelled``).
 
     Joins that ``gens`` map onto each other give isomorphic children, so
     one join per orbit of the group they generate is built.  Isomorphic
@@ -414,17 +430,18 @@ def _kept_children(parent, gens, keep_gens: bool) -> dict:
         kept = _canonical_child(nbrs, c_inv, keep_gens)
         if kept is not None and kept[0] not in found:
             key, order, joining = kept
-            found[key] = (_relabelled(nbrs, order), _relabelled_maps(order, joining))
+            found[key] = (_relabelled(nbrs, order, rows), _relabelled_maps(order, joining))
     return found
 
 
-def _next_level(parents, keep_gens: bool) -> list:
+def _next_level(parents, keep_gens: bool, rows: dict) -> list:
     """The classes one vertex larger than ``parents``, as (canonical
     adjacency, generators) pairs like ``parents``, sorted by generation
-    key; generators are kept only with ``keep_gens``."""
+    key; generators are kept only with ``keep_gens``, and neighbor tuples
+    are shared through ``rows`` (``_relabelled``)."""
     level = []
     for adj, gens in parents:
-        level.extend(_kept_children(adj, gens, keep_gens).items())
+        level.extend(_kept_children(adj, gens, keep_gens, rows).items())
     level.sort(key=itemgetter(0))
     return [kept for _, kept in level]
 
@@ -432,11 +449,14 @@ def _next_level(parents, keep_gens: bool) -> list:
 def _connected_levels(max_n: int) -> Iterator[list[Graph]]:
     """Connected subcubic graphs grouped by vertex count, canonical labels,
     each level sorted by canonical key.  The last level keeps no
-    generators."""
+    generators.  One table of neighbor tuples serves the whole sweep, so
+    equal rows are one object; it is local to the sweep, so nothing
+    outlives it."""
+    rows: dict = {}
     parents: list = [(((),), ())]
     yield [Graph._from_adjacency(((),))]
     for n in range(2, max_n + 1):
-        parents = _next_level(parents, n < max_n)
+        parents = _next_level(parents, n < max_n, rows)
         yield [Graph._from_adjacency(adj) for adj, _ in parents]
 
 

@@ -3,9 +3,11 @@ duplicate-freeness, and the seeded random sampler."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
-from itertools import combinations, permutations, product
+import tracemalloc
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 from operator import itemgetter
 
@@ -202,17 +204,19 @@ def _unpruned_kept(parent) -> set:
         nbrs = child._adj
         order = _accepted(nbrs, enumeration._invariants(nbrs))
         if order is not None:
-            found.add(enumeration._relabelled(nbrs, order))
+            found.add(enumeration._relabelled(nbrs, order, {}))
     return found
 
 
 @pytest.fixture(scope="module")
 def levels_with_gens() -> list[list]:
     """Per order n <= 10, at index n, the driver's (canonical adjacency,
-    generators) pairs, generators kept on every level."""
+    generators) pairs, generators kept on every level, rows shared as in
+    the driver."""
+    rows: dict = {}
     levels = [[], [(((),), ())]]
     for _ in range(2, 11):
-        levels.append(enumeration._next_level(levels[-1], True))
+        levels.append(enumeration._next_level(levels[-1], True, rows))
     return levels
 
 
@@ -223,7 +227,7 @@ def test_pruned_children_match_the_unpruned_rule(corpus_by_n, levels_with_gens):
     for n in range(1, 10):
         assert [adj for adj, _ in levels_with_gens[n]] == [g._adj for g in corpus_by_n[n]], n
         for adj, gens in levels_with_gens[n]:
-            kept = enumeration._kept_children(adj, gens, True)
+            kept = enumeration._kept_children(adj, gens, True, {})
             adjacencies = {child for child, _ in kept.values()}
             assert len(adjacencies) == len(kept), adj
             assert adjacencies == _unpruned_kept(adj), adj
@@ -391,6 +395,58 @@ def test_invariants_pack_degree_and_sorted_neighbor_degrees(corpus_by_n):
         assert [enumeration._unpack(key) for key in inv] == want, g.edges
         for a, b in combinations(range(g.n), 2):
             assert (inv[a] < inv[b]) == (want[a] < want[b]), g.edges
+
+
+def test_every_vertex_type_packs_into_one_byte_in_order():
+    # The generation key holds the sorted invariants as bytes, which sort
+    # and tie like canonical_key's profile only if each of the 20
+    # subcubic vertex types (degree d <= 3, a multiset of d neighbor
+    # degrees) packs below 256, in the order of its tuple.  Vertex 0 is
+    # joined to 1..d, and neighbor i gets leaves up to its degree.
+    packed = []
+    for d in range(4):
+        for nbr_degs in combinations_with_replacement((3, 2, 1), d):
+            edges, n = [], d + 1
+            for i, e in enumerate(nbr_degs, start=1):
+                edges.append((0, i))
+                edges += [(i, leaf) for leaf in range(n, n + e - 1)]
+                n += e - 1
+            key = enumeration._invariants(Graph(n, edges)._adj)[0]
+            assert enumeration._unpack(key) == (d, nbr_degs)
+            packed.append(((d, nbr_degs), key))
+    packed.sort()
+    keys = [key for _, key in packed]
+    assert len(keys) == 20 and 0 <= keys[0] and keys[-1] < 256
+    assert keys == sorted(set(keys))
+
+
+def test_equal_rows_on_a_level_are_one_object(sweep_corpus_by_n):
+    # The driver passes every neighbor tuple through one table per sweep
+    # (_relabelled), so a level holds each distinct row once.
+    for n, level in sweep_corpus_by_n.items():
+        rows = [row for g in level for row in g._adj]
+        assert len({id(row) for row in rows}) == len(set(rows)), n
+
+
+def test_level_build_peak_memory_per_class(levels_with_gens):
+    # Traced peak of building level 10 from every other stored level-9
+    # pair (half the level keeps the test under a second), per class
+    # made: about 940 B when every class held its own rows and a
+    # tuple-of-tuples key, about 410 B with shared rows and flat keys.
+    # Freed objects that wait on a free list stay traced, so a full
+    # collection empties the lists and an untraced build of level 9
+    # refills them as a running sweep has them: the figure does not
+    # depend on what ran before.
+    gc.collect()
+    enumeration._next_level(levels_with_gens[8], True, {})
+    tracemalloc.start()
+    try:
+        level = enumeration._next_level(levels_with_gens[9][::2], True, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 855 and set(level) <= set(levels_with_gens[10])
+    assert peak < 600 * len(level), peak / len(level)
 
 
 def test_generation_work_is_pinned(sweep_generation):

@@ -457,7 +457,7 @@ def test_trusted_constructions_equal_validated_ones(corpus_by_n):
         position = [0] * g.n
         for i, v in enumerate(order):
             position[v] = i
-        h = Graph._from_adjacency(enumeration._relabelled(g._adj, tuple(order)))
+        h = Graph._from_adjacency(enumeration._relabelled(g._adj, tuple(order), {}))
         _assert_same_graph(h, relabel(g, position))
         keep = order[:rnd.randrange(g.n + 1)] * 2
         h, new_to_old = g.induced(keep)
