@@ -403,7 +403,7 @@ def test_every_vertex_type_packs_into_one_byte_in_order():
     # subcubic vertex types (degree d <= 3, a multiset of d neighbor
     # degrees) packs below 256, in the order of its tuple.  Vertex 0 is
     # joined to 1..d, and neighbor i gets leaves up to its degree.
-    packed = []
+    types = []
     for d in range(4):
         for nbr_degs in combinations_with_replacement((3, 2, 1), d):
             edges, n = [], d + 1
@@ -413,10 +413,9 @@ def test_every_vertex_type_packs_into_one_byte_in_order():
                 n += e - 1
             key = enumeration._invariants(Graph(n, edges)._adj)[0]
             assert enumeration._unpack(key) == (d, nbr_degs)
-            packed.append(((d, nbr_degs), key))
-    packed.sort()
-    keys = [key for _, key in packed]
-    assert len(keys) == 20 and 0 <= keys[0] and keys[-1] < 256
+            types.append(((d, nbr_degs), key))
+    keys = [key for _, key in sorted(types)]
+    assert len(keys) == 20 and keys[-1] < 256
     assert keys == sorted(set(keys))
 
 
