@@ -499,6 +499,93 @@ def test_graph6_nonzero_padding_keeps_its_message_and_offset(n):
     assert exc.value.offset == offset
 
 
+def _column_walk_adjacency(line: bytes) -> tuple[tuple[int, ...], ...]:
+    """The adjacency tuple of a valid graph6 line with the short size
+    prefix, decoded bit by bit from bit 0: each set bit's column is found
+    by moving v forward.  ``parse_graph6`` decodes the first 1 890 bits by
+    table and walks only the rest; this walk is its oracle."""
+    if line[0] == 126:
+        n, at = (line[1] - 63) << 12 | (line[2] - 63) << 6 | (line[3] - 63), 4
+    else:
+        n, at = line[0] - 63, 1
+    adj: list[list[int]] = [[] for _ in range(n)]
+    v = top = 0  # column v is bits top - v .. top - 1
+    for i, x in enumerate(line[at:]):
+        for k in range(6):
+            if (x - 63) >> (5 - k) & 1:
+                b = 6 * i + k
+                while b >= top:
+                    v += 1
+                    top += v
+                u = b - top + v
+                adj[u].append(v)
+                adj[v].append(u)
+    return tuple(map(tuple, adj))
+
+
+def _assert_decodes_as_the_column_walk(line: bytes) -> None:
+    assert parse_graph6(line)._adj == _column_walk_adjacency(line)
+
+
+def test_graph6_head_table_and_tail_walk_meet_at_bit_1890():
+    # At n = 64 the 2 016 bits lie on both sides of bit 1 890, the first
+    # one past the table: (60, 61) is bit 1 890, (59, 61) bit 1 889.
+    pairs = [(u, v) for v in range(64) for u in range(v)]
+    assert pairs[1889:1891] == [(59, 61), (60, 61)]
+    for u, v in pairs:
+        line = emit_graph6(Graph(64, [(u, v)]))
+        _assert_decodes_as_the_column_walk(line)
+        assert parse_graph6(line).edges == {(u, v)}
+    for n in range(60, 65):
+        complete = Graph(n, [(u, v) for v in range(n) for u in range(v)])
+        _assert_decodes_as_the_column_walk(emit_graph6(complete))
+        assert parse_graph6(emit_graph6(complete)) == complete
+
+
+@st.composite
+def graph6_bodies(draw):
+    """A short-prefix graph6 line of order n <= 130 or n = 300 whose body
+    has the drawn bits set, or all bits but those; padding is zero."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=130), st.just(300)))
+    nbits = n * (n - 1) // 2
+    chosen = draw(st.sets(st.integers(min_value=0, max_value=max(nbits - 1, 0)), max_size=300))
+    chosen &= set(range(nbits))
+    if draw(st.booleans()):
+        chosen = set(range(nbits)) - chosen
+    body = bytearray((nbits + 5) // 6)
+    for b in chosen:
+        body[b // 6] |= 32 >> b % 6
+    prefix = bytes([n + 63]) if n <= 62 else bytes([126, 63 + (n >> 12), 63 + (n >> 6 & 63), 63 + (n & 63)])
+    return prefix + bytes(x + 63 for x in body)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph6_bodies())
+def test_graph6_decoding_equals_the_column_walk(line):
+    _assert_decodes_as_the_column_walk(line)
+
+
+def test_read_graph6_line_passes_a_short_prefix_line_through(monkeypatch):
+    # A line with the short size prefix and no header is already the text
+    # emit_graph6 writes, so it comes back as it is; only the other forms
+    # are given the short prefix, by one _size_prefix call.
+    g63, g300 = random_subcubic(63, 63), random_subcubic(300, 300)
+    short = [emit_graph6(g) for g in [Graph(0), *(random_subcubic(n, n) for n in (1, 13, 62)), g63, g300]]
+    other = [(b"~??Bw", b"Bw"), (b"~~?????Bw", b"Bw"), (b">>graph6<<Bw", b"Bw"),
+             (b">>graph6<<" + short[-1], short[-1]), (b"~~???" + short[-2][1:], short[-2])]
+    calls = []
+    size_prefix = graphs._size_prefix
+    monkeypatch.setattr(graphs, "_size_prefix", lambda n: calls.append(n) or size_prefix(n))
+    for line in short:
+        g, text = read_graph6_line(line)
+        assert text is line and g == parse_graph6(line)
+    assert calls == []
+    for line, text in other:
+        calls.clear()
+        assert read_graph6_line(line) == (parse_graph6(text), text)
+        assert len(calls) == 1
+
+
 def test_degree_profile_names_a_degree_above_255():
     star = Graph(302, [(1, v) for v in range(2, 302)] + [(0, 1)])
     with pytest.raises(NotSubcubicError, match=r"^vertex 1 has degree 301 > 3$"):
