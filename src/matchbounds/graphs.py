@@ -291,11 +291,11 @@ def parse_graph6(line: bytes | str) -> Graph:
     The body's first 315 bytes, 1 890 bits, are decoded by one table of
     pairs, the rest by a walk over the columns of its set bits; every
     order takes both steps.  Decoding is the largest cost of a
-    ``verify --file`` line: on the bench's ``corpus`` (orders 13-40),
-    ``read_graph6_line`` takes 18.8 us a line, where a walk over every
-    set bit took 21.8 us, of 45.6 us in all at ``--jobs 1`` (``nu`` 10.1,
-    degree profile 5.6, rows and reports 11.2; medians of five runs, 2
-    vCPUs, CPython 3.11.7)."""
+    ``verify --file`` line: on the bench's ``corpus`` (orders 13-40) a
+    line takes 45.6 us at ``--jobs 1``, where a walk over every set bit
+    took 50.2 us: ``read_graph6_line`` 18.8 us (was 21.8), ``nu`` 10.1
+    (was 11.2), degree profile 5.6 (same), rows and reports 11.2 (was
+    11.7); medians of five runs, 2 vCPUs, CPython 3.11.7."""
     data = line.encode("ascii") if isinstance(line, str) else line
     data = data.removesuffix(b"\n").removesuffix(b"\r")
     if data.startswith(_G6_HEADER):

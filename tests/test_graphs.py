@@ -567,22 +567,25 @@ def test_graph6_decoding_equals_the_column_walk(line):
 
 def test_read_graph6_line_passes_a_short_prefix_line_through(monkeypatch):
     # A line with the short size prefix and no header is already the text
-    # emit_graph6 writes, so it comes back as it is; only the other forms
-    # are given the short prefix, by one _size_prefix call.
-    g63, g300 = random_subcubic(63, 63), random_subcubic(300, 300)
-    short = [emit_graph6(g) for g in [Graph(0), *(random_subcubic(n, n) for n in (1, 13, 62)), g63, g300]]
-    other = [(b"~??Bw", b"Bw"), (b"~~?????Bw", b"Bw"), (b">>graph6<<Bw", b"Bw"),
-             (b">>graph6<<" + short[-1], short[-1]), (b"~~???" + short[-2][1:], short[-2])]
+    # emit_graph6 writes, so it comes back as it is: 1-byte prefixes, and
+    # 4-byte ones from n = 63.  Each other form is given the short prefix
+    # by one _size_prefix call.
+    samples = [Graph(0), *(random_subcubic(n, n) for n in (1, 13, 62, 63, 300))]
+    short = list(map(emit_graph6, samples))
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    other = [(b"~??Bw", triangle, b"Bw"), (b"~~?????Bw", triangle, b"Bw"),
+             (b">>graph6<<Bw", triangle, b"Bw"), (b">>graph6<<" + short[-1], samples[-1], short[-1]),
+             (b"~~???" + short[-2][1:], samples[-2], short[-2])]
     calls = []
     size_prefix = graphs._size_prefix
     monkeypatch.setattr(graphs, "_size_prefix", lambda n: calls.append(n) or size_prefix(n))
-    for line in short:
-        g, text = read_graph6_line(line)
-        assert text is line and g == parse_graph6(line)
+    for g, line in zip(samples, short):
+        got, text = read_graph6_line(line)
+        assert got == g and text is line
     assert calls == []
-    for line, text in other:
+    for line, g, text in other:
         calls.clear()
-        assert read_graph6_line(line) == (parse_graph6(text), text)
+        assert read_graph6_line(line) == (g, text)
         assert len(calls) == 1
 
 
